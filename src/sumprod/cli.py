@@ -329,8 +329,6 @@ def _run_extremal(args, field) -> dict:
         rep = search.anneal_extremal(field.p, args.n, seed=args.seed, iters=args.iters)
     else:
         workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
-        if args.checkpoint is not None:
-            workers = 1  # checkpointing is serial-only
         rep = search.exhaustive_extremal(
             field.p, args.n, workers=workers, checkpoint_path=args.checkpoint
         )

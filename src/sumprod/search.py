@@ -13,9 +13,11 @@ import math
 import os
 import random
 import tempfile
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, repeat
 
 from .core import FSet, dilate, make_field, product_set, ratio_set, sumset
 from .errors import BadParameters, EmptyOperand, GuardExceeded
@@ -23,6 +25,8 @@ from .lemmas import _guards_lifted
 
 CLASS_GUARD = 10**8
 CHECKPOINT_EVERY = 10**6
+# 2: the cursor counts the candidates of _class_reps, not all n-subsets
+CHECKPOINT_VERSION = 2
 
 
 def objective(A: FSet) -> int:
@@ -67,26 +71,76 @@ def _class_count_guard(p: int, n: int) -> None:
         raise GuardExceeded(f"~{classes} dilation classes exceed the {CLASS_GUARD} guard")
 
 
-def _scan_range(p: int, n: int, start: int, stop: int | None) -> tuple[int | None, list[int], int]:
-    """Scan combination indices [start, stop): (best, witness masks, classes)."""
+def _class_reps(p: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[int]:
+    """Masks of the class representatives among candidates [start, stop).
+
+    A class with a nonzero element a also holds a^-1 A, which contains 1,
+    so the candidates {1} | T, T an (n-1)-subset of F_p \\ {1} in
+    combinations order, reach every class but {0}, which comes first when
+    n = 1.  The members of the class of S that contain 1 are exactly the
+    a^-1 S with a in S \\ {0}, so keeping S iff its mask is the least of
+    theirs keeps each class once, at O(n^2) per candidate.
+    """
+    inv = make_field(p).inv
+    sets = ((1, *T) for T in combinations([0, *range(2, p)], n - 1))
+    if n == 1:
+        sets = chain([(0,)], sets)
+    for S in islice(sets, start, stop):
+        mask = sum(1 << x for x in S)
+        for a in S:
+            if a > 1:
+                u = inv(a)
+                if sum(1 << (u * x % p) for x in S) < mask:
+                    break
+        else:
+            yield mask
+
+
+def _fresh_state(p: int, n: int) -> dict:
+    return {
+        "version": CHECKPOINT_VERSION, "p": p, "n": n, "mode": "exhaustive", "cursor": 0,
+        "best_value": None, "witnesses": [], "classes_visited": 0,
+    }
+
+
+def _merge(state: dict, best: int | None, witnesses: list[int], classes: int) -> None:
+    """Fold a scanned range's (best, witness masks, classes) into state."""
+    state["classes_visited"] += classes
+    if best is None:
+        return
+    if state["best_value"] is None or best < state["best_value"]:
+        state["best_value"], state["witnesses"] = best, list(witnesses)
+    elif best == state["best_value"]:
+        state["witnesses"].extend(witnesses)
+
+
+def _scan_chunk(p: int, n: int, start: int, stop: int) -> dict:
+    """The state of a scan of candidates [start, stop) alone."""
     field = make_field(p)
-    best: int | None = None
-    witnesses: list[int] = []
-    classes = 0
-    for combo in islice(combinations(range(p), n), start, stop):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        A = field.fset_from_mask(mask)
-        if canonical_form(A).mask != mask:
-            continue
-        classes += 1
-        val = objective(A)
-        if best is None or val < best:
-            best, witnesses = val, [mask]
-        elif val == best:
-            witnesses.append(mask)
-    return best, witnesses, classes
+    state = _fresh_state(p, n)
+    for mask in _class_reps(p, n, start, stop):
+        _merge(state, objective(field.fset_from_mask(mask)), [mask], 1)
+    return state
+
+
+def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
+    with open(path) as fh:
+        state = json.load(fh)
+    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
+        raise BadParameters(f"checkpoint is not a version {CHECKPOINT_VERSION} search state")
+    fresh = _fresh_state(p, n)
+    if state.keys() != fresh.keys():
+        raise BadParameters(f"checkpoint keys must be {sorted(fresh)}")
+    # type(), not isinstance(): a JSON true is no count
+    bad = [k for k, v in state.items()
+           if not (type(v) is type(fresh[k]) or k == "best_value" and type(v) is int)]
+    if bad or any(type(m) is not int for m in state["witnesses"]):
+        raise BadParameters(f"checkpoint values have the wrong type: {bad or ['witnesses']}")
+    if (state["p"], state["n"], state["mode"]) != (p, n, "exhaustive"):
+        raise BadParameters("checkpoint does not match this search")
+    if not 0 <= state["cursor"] <= total:
+        raise BadParameters(f"checkpoint cursor {state['cursor']} is outside [0, {total}]")
+    return state
 
 
 def _write_checkpoint(path: str, state: dict) -> None:
@@ -114,93 +168,44 @@ def exhaustive_extremal(
 ) -> SearchRecord:
     """Exact minimum of max{|A+A|,|AA|} over |A| = n, one set per dilation class.
 
-    With a checkpoint_path the cursor/best state is written atomically
-    every checkpoint_every enumerated subsets and the run resumes from an
-    existing file; a resumed run is bit-identical to an uninterrupted one.
-    max_steps stops early after that many subsets (checkpoint then holds
-    the cursor); it exists to exercise resumption deterministically.
+    The candidates of _class_reps are scanned in chunks of
+    min(checkpoint_every, ceil(remaining / workers)), in order, by `workers`
+    processes.  With a checkpoint_path the state (cursor, best, witnesses,
+    classes) is written atomically after every chunk and the run resumes
+    from an existing file; a resumed run is bit-identical to an
+    uninterrupted one at any worker count.  max_steps stops early after that
+    many candidates (checkpoint then holds the cursor); it exists to
+    exercise resumption deterministically.
     """
     if n < 1 or n > p:
         raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
+    if workers < 1 or checkpoint_every < 1:
+        raise BadParameters("workers and checkpoint_every must be >= 1")
     field = make_field(p)
     _class_count_guard(p, n)
-    if workers > 1:
-        if checkpoint_path is not None:
-            raise BadParameters("checkpointing is only supported in the serial path")
-        total = math.comb(p, n)
-        chunk = -(-total // workers)
-        bounds = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        best: int | None = None
-        witnesses: list[int] = []
-        classes = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, w, c in pool.map(_scan_range, *zip(*[(p, n, lo, hi) for lo, hi in bounds])):
-                classes += c
-                if b is None:
-                    continue
-                if best is None or b < best:
-                    best, witnesses = b, list(w)
-                elif b == best:
-                    witnesses.extend(w)
-        assert best is not None
-        return SearchRecord(
-            p, n, best, tuple(field.fset_from_mask(m) for m in sorted(witnesses)),
-            "exhaustive", None, classes,
-        )
-    cursor = 0
-    best = None
-    witnesses = []
-    classes = 0
+    total = math.comb(p - 1, n - 1) + (n == 1)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            state = json.load(fh)
-        if state["p"] != p or state["n"] != n or state["mode"] != "exhaustive":
-            raise BadParameters("checkpoint does not match this search")
-        cursor = state["cursor"]
-        best = state["best_value"]
-        witnesses = list(state["witnesses"])
-        classes = state["classes_visited"]
-    steps = 0
-    for combo in islice(combinations(range(p), n), cursor, None):
-        if max_steps is not None and steps >= max_steps:
-            break
-        steps += 1
-        cursor += 1
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        A = field.fset_from_mask(mask)
-        if canonical_form(A).mask == mask:
-            classes += 1
-            val = objective(A)
-            if best is None or val < best:
-                best, witnesses = val, [mask]
-            elif val == best:
-                witnesses.append(mask)
-        if checkpoint_path and cursor % checkpoint_every == 0:
-            _write_checkpoint(
-                checkpoint_path,
-                {
-                    "p": p, "n": n, "mode": "exhaustive", "cursor": cursor,
-                    "best_value": best, "witnesses": witnesses, "seed": None,
-                    "classes_visited": classes,
-                },
-            )
-    if checkpoint_path:
-        _write_checkpoint(
-            checkpoint_path,
-            {
-                "p": p, "n": n, "mode": "exhaustive", "cursor": cursor,
-                "best_value": best, "witnesses": witnesses, "seed": None,
-                "classes_visited": classes,
-            },
-        )
-    if max_steps is not None and best is None:
+        state = _load_checkpoint(checkpoint_path, p, n, total)
+    else:
+        state = _fresh_state(p, n)
+    start = state["cursor"]
+    stop = total if max_steps is None else min(total, start + max_steps)
+    size = max(1, min(checkpoint_every, -(-(stop - start) // workers)))
+    los = range(start, stop, size)
+    his = [min(lo + size, stop) for lo in los]
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(_scan_chunk, repeat(p), repeat(n), los, his)
+        for hi, part in zip(his, parts):
+            _merge(state, part["best_value"], part["witnesses"], part["classes_visited"])
+            state["cursor"] = hi
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, state)
+    if state["best_value"] is None:
         raise BadParameters("max_steps exhausted before any class was visited")
-    assert best is not None
+    witnesses = sorted((canonical_form(field.fset_from_mask(m)) for m in state["witnesses"]),
+                       key=lambda A: A.mask)
     return SearchRecord(
-        p, n, best, tuple(field.fset_from_mask(m) for m in sorted(witnesses)),
-        "exhaustive", None, classes,
+        p, n, state["best_value"], tuple(witnesses), "exhaustive", None, state["classes_visited"]
     )
 
 
@@ -227,26 +232,27 @@ def anneal_extremal(
     rng = random.Random(seed)
     current = set(range(1, n + 1))
     cur_val = objective(field.fset(current))
-    best_val = cur_val
-    best_mask = canonical_form(field.fset(current)).mask
+    best_val, best_set = cur_val, current
     temp = t0
     for _ in range(iters - 1):
-        out_pool = sorted(set(range(p)) - current)
-        if not out_pool:
-            break
-        drop = rng.choice(sorted(current))
-        add = rng.choice(out_pool)
+        members = sorted(current)
+        drop = rng.choice(members)
+        # the add-th smallest non-member, the draw of rng.choice on their sorted list
+        add = rng.randrange(p - n)
+        for c in members:
+            if c > add:
+                break
+            add += 1
         proposal = current - {drop} | {add}
         val = objective(field.fset(proposal))
         delta = val - cur_val
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
             current, cur_val = proposal, val
             if val < best_val:
-                best_val = val
-                best_mask = canonical_form(field.fset(current)).mask
+                best_val, best_set = val, current
         temp *= cooling
     return SearchRecord(
-        p, n, best_val, (field.fset_from_mask(best_mask),), "anneal", seed, iters
+        p, n, best_val, (canonical_form(field.fset(best_set)),), "anneal", seed, iters
     )
 
 
@@ -275,26 +281,19 @@ class RatioScanTable:
 def ratio_threshold_scan(p: int) -> RatioScanTable:
     """Largest n with some |A| = n whose ratio set is a proper subset of F_p.
 
-    Exhaustive over dilation classes (ratio sets are dilation invariant).
-    Properness is subset-monotone, so the scan stops at the first size
-    with no proper witness.
+    Exhaustive over dilation classes (ratio sets are dilation invariant);
+    each size's witness is the lex-first canonical proper set.  Properness
+    is subset-monotone, so the scan stops at the first size with no proper
+    witness.
     """
     field = make_field(p)
     entries: list[RatioScanEntry] = [RatioScanEntry(1, None, None)]
     max_n = 0
     for n in range(2, p + 1):
         _class_count_guard(p, n)
-        witness = None
-        for combo in combinations(range(p), n):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            A = field.fset_from_mask(mask)
-            if canonical_form(A).mask != mask:
-                continue
-            if ratio_set(A).card < p:
-                witness = A
-                break
+        reps = (field.fset_from_mask(m) for m in _class_reps(p, n))
+        proper = (canonical_form(A) for A in reps if ratio_set(A).card < p)
+        witness = min(proper, key=FSet.elements, default=None)
         entries.append(RatioScanEntry(n, witness is not None, witness))
         if witness is None:
             break

@@ -83,6 +83,29 @@ class TestExitCodes:
         assert run(args) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("state", [
+        {"p": 13, "n": 4, "mode": "exhaustive"},
+        # a complete state from before the version field
+        {"p": 13, "n": 4, "mode": "exhaustive", "cursor": 10, "best_value": 7,
+         "witnesses": [15], "seed": None, "classes_visited": 1},
+    ])
+    def test_bad_checkpoint_is_two(self, tmp_path, capsys, state):
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(state))
+        assert run(["extremal", "--p", "13", "--n", "4", "--checkpoint", str(ck)]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_with_threads(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        assert run(["extremal", "--p", "13", "--n", "4", "--threads", "1"]) == 0
+        serial = capsys.readouterr().out
+        argv = ["extremal", "--p", "13", "--n", "4", "--threads", "2", "--checkpoint", str(ck)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert json.loads(ck.read_text())["cursor"] == 220  # C(12, 3): every candidate
+        assert run(argv) == 0  # resumes from the finished checkpoint
+        assert capsys.readouterr().out == serial
+
 
 class TestFormats:
     def test_csv_scan(self, capsys):

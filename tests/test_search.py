@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from sumprod.core import make_field
+from sumprod.core import make_field, ratio_set
 from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
     anneal_extremal,
@@ -24,6 +24,26 @@ def naive_minimum(p: int, n: int) -> int:
     return min(
         objective(field.fset(combo)) for combo in combinations(range(p), n)
     )
+
+
+def brute_record(p: int, n: int) -> tuple[int, list[int], int]:
+    """(best, witness masks, classes) over every n-subset kept by canonical_form."""
+    field = make_field(p)
+    classes = [A for A in map(field.fset, combinations(range(p), n)) if canonical_form(A) == A]
+    best = min(map(objective, classes))
+    return best, [A.mask for A in classes if objective(A) == best], len(classes)
+
+
+def lex_ratio_scan(p: int) -> list[tuple[int, int | None]]:
+    """(n, mask of the first canonical proper set in combinations order) per size."""
+    field = make_field(p)
+    out = []
+    for n in range(2, p + 1):
+        sets = map(field.fset, combinations(range(p), n))
+        first = next((A for A in sets if canonical_form(A) == A and ratio_set(A).card < p), None)
+        out.append((n, None if first is None else first.mask))
+        if first is None:
+            return out
 
 
 class TestCanonicalForm:
@@ -89,6 +109,44 @@ class TestExhaustive:
         with pytest.raises(BadParameters):
             exhaustive_extremal(7, 3, checkpoint_path=str(ck))
 
+    @pytest.mark.parametrize("p,n", [(5, 1), (7, 7), (11, 4), (13, 4), (17, 5)])
+    def test_matches_brute_force_record(self, p, n):
+        rec = exhaustive_extremal(p, n)
+        got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
+        assert got == brute_record(p, n)
+
+    def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        full = exhaustive_extremal(11, 3)
+        exhaustive_extremal(11, 3, workers=2, checkpoint_path=str(ck), checkpoint_every=7,
+                            max_steps=30)
+        state = json.loads(ck.read_text())
+        assert state["cursor"] == 30 and state["version"] == 2
+        assert exhaustive_extremal(11, 3, workers=1, checkpoint_path=str(ck)) == full
+
+    @pytest.mark.parametrize("edit", [
+        {"version": None},  # written before versions: the cursor counted all n-subsets
+        {"version": 1},
+        {"cursor": None},
+        {"cursor": "3"},
+        {"cursor": True},
+        {"cursor": 46},
+        {"witnesses": [1.5]},
+        {"best_value": "5"},
+    ])
+    def test_bad_checkpoint(self, tmp_path, edit):
+        ck = tmp_path / "ck.json"
+        exhaustive_extremal(11, 3, checkpoint_path=str(ck), max_steps=30)
+        state = json.loads(ck.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del state[key]
+            else:
+                state[key] = value
+        ck.write_text(json.dumps(state))
+        with pytest.raises(BadParameters):
+            exhaustive_extremal(11, 3, checkpoint_path=str(ck))
+
     def test_parallel_matches_serial(self):
         serial = exhaustive_extremal(11, 4)
         parallel = exhaustive_extremal(11, 4, workers=3)
@@ -125,6 +183,24 @@ class TestAnneal:
         with pytest.raises(BadParameters):
             anneal_extremal(7, 2, iters=0)
 
+    # (p, n, seed, iters) -> (best_value, witness mask), frozen from the
+    # implementation that drew the added element with rng.choice over the
+    # sorted non-members and canonicalized every improvement
+    FROZEN = {
+        (13, 4, 0, 300): (7, 15),
+        (13, 5, 1, 400): (9, 817),
+        (101, 6, 1, 200): (16, 54113564272689409),
+        (101, 6, 4, 200): (15, 288291948802867203),
+        (101, 6, 5, 200): (16, 4438),
+        (1009, 8, 5, 60): (29, 2203603505424),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FROZEN))
+    def test_frozen_records(self, case):
+        p, n, seed, iters = case
+        rec = anneal_extremal(p, n, seed=seed, iters=iters)
+        assert (rec.best_value, rec.witnesses[0].mask) == self.FROZEN[case]
+
     def test_witness_is_canonical(self):
         rec = anneal_extremal(11, 3, seed=1, iters=100)
         (w,) = rec.witnesses
@@ -145,9 +221,13 @@ class TestRatioScan:
         assert t.sqrt_p == math.sqrt(11)
         assert t.max_proper_n >= 2
 
-    def test_witness_really_proper(self):
-        from sumprod.core import ratio_set
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_lex_order_scan(self, p):
+        t = ratio_threshold_scan(p)
+        got = [(e.n, None if e.witness is None else e.witness.mask) for e in t.entries[1:]]
+        assert got == lex_ratio_scan(p)
 
+    def test_witness_really_proper(self):
         t = ratio_threshold_scan(13)
         w = t.max_witness
         assert ratio_set(w).card < 13
