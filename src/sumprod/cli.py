@@ -35,7 +35,7 @@ from .core import (
     rep_fn,
     sumset,
 )
-from .errors import GuardExceeded, WorkbenchError
+from .errors import GuardExceeded, InvariantViolated, WorkbenchError
 
 
 class UsageError(Exception):
@@ -362,12 +362,12 @@ def run(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolated as exc:
+        print(f"exact invariant violated: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, WorkbenchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"exact invariant violated: {exc}", file=sys.stderr)
-        return 1
     return 1 if _violated(payload) else 0
 
 

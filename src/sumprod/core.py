@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     CompositeModulus,
     EmptyOperand,
@@ -28,8 +26,10 @@ from .errors import (
 PLUS = "plus"
 MINUS = "minus"
 
-# numpy bincount beats the pure-Python loop once the pair count is nontrivial
+# pair count from which numpy beats the pure-Python loop
 _NUMPY_PAIR_THRESHOLD = 1024
+# pairs per numpy block, so the int64 difference block stays at 32 MB
+_PAIR_BLOCK = 1 << 22
 
 
 def _is_prime(n: int) -> bool:
@@ -283,14 +283,22 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
             if b:
                 k = field.dlog_table[b]
                 acc |= ((la << k) | (la >> (q - k))) & full_q if k else la
-    mask = 0
-    m = acc
-    while m:
-        low = m & -m
-        mask |= 1 << field.exp_table[low.bit_length() - 1]
-        m ^= low
-    if 0 in A or 0 in B:
-        mask |= 1
+    exp = field.exp_table
+    mask = 1 if 0 in A or 0 in B else 0
+    if acc.bit_count() < 48:  # decode a few log bits one at a time, more in one O(p) pass
+        while acc:
+            low = acc & -acc
+            mask |= 1 << exp[low.bit_length() - 1]
+            acc ^= low
+    else:
+        # one pass: binary digit exp[k] is 1 for every bit k of acc
+        bits = bin(acc)[:1:-1]
+        digits = bytearray(b"0" * p)
+        k = bits.find("1")
+        while k >= 0:
+            digits[p - 1 - exp[k]] = 49
+            k = bits.find("1", k + 1)
+        mask |= int(digits, 2)
     return field.fset_from_mask(mask)
 
 
@@ -320,17 +328,8 @@ def ratio_set(A: FSet) -> FSet:
     """
     if A.card < 2:
         raise TooSmall("ratio_set needs |A| >= 2")
-    field = A.field
     diff = sumset(A, A, MINUS)
-    nums = diff.elements()
-    mask = 0
-    for d in diff:
-        if d == 0:
-            continue
-        dinv = field.inv(d)
-        for n in nums:
-            mask |= 1 << (n * dinv % field.p)
-    return field.fset_from_mask(mask)
+    return product_set(diff, A.field.fset(A.field.inv(d) for d in diff if d))
 
 
 def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:
@@ -339,20 +338,26 @@ def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:
     _require_nonempty(A, B)
     if sign not in (PLUS, MINUS):
         raise ValueError(f"bad sign {sign!r}")
-    p = field.p
-    if A.card * B.card >= _NUMPY_PAIR_THRESHOLD:
-        a = np.fromiter(A, dtype=np.int64, count=A.card)
-        b = np.fromiter(B, dtype=np.int64, count=B.card)
-        d = a[:, None] + b[None, :] if sign == PLUS else a[:, None] - b[None, :]
-        counts = np.bincount(d.ravel() % p, minlength=p)
-        return RepFn(field, tuple(int(c) for c in counts), A.card * B.card)
-    counts = [0] * p
-    if sign == PLUS:
-        for a in A:
-            for b in B:
-                counts[(a + b) % p] += 1
-    else:
-        for a in A:
-            for b in B:
-                counts[(a - b) % p] += 1
-    return RepFn(field, tuple(counts), A.card * B.card)
+    ys = [-b for b in B] if sign == PLUS else list(B)
+    return RepFn(field, tuple(pair_counts(list(A), ys, field.p)), A.card * B.card)
+
+
+def pair_counts(xs: Sequence[int], ys: Sequence[int], m: int, xw=None, yw=None) -> list[int]:
+    """counts[k] = sum of xw[i] * yw[j] (weights >= 0, default 1) over xs[i] - ys[j] = k mod m."""
+    weighted = xw is not None or yw is not None
+    xw, yw = xw or [1] * len(xs), yw or [1] * len(ys)
+    if len(xs) * len(ys) < _NUMPY_PAIR_THRESHOLD:
+        counts = [0] * m
+        for x, a in zip(xs, xw):
+            for y, b in zip(ys, yw):
+                counts[(x - y) % m] += a * b
+        return counts
+    import numpy as np
+    # x - y + m lies in (0, 2m): 2m bins folded once are cheaper than a % m per pair
+    x, y = np.asarray(xs, dtype=np.int64) % m + m, np.asarray(ys, dtype=np.int64) % m
+    rows = max(1, _PAIR_BLOCK // len(ys))
+    counts = np.zeros(2 * m, dtype=np.int64)
+    for i in range(0, len(x), rows):
+        w = np.outer(xw[i : i + rows], yw).ravel() if weighted else 1
+        np.add.at(counts, (x[i : i + rows, None] - y).ravel(), w)
+    return (counts[:m] + counts[m:]).tolist()

@@ -16,6 +16,7 @@ from .core import (
     _require_nonempty,
     _require_same_field,
     _rotate,
+    pair_counts,
     product_set,
     rep_fn,
     sumset,
@@ -86,14 +87,6 @@ def _mult_naive(Y: FSet, Z: FSet) -> int:
     return sum((m1 & m2).bit_count() for m1 in masks for m2 in masks)
 
 
-def _cyclic_rep(logs: list[int], q: int) -> list[int]:
-    counts = [0] * q
-    for i in logs:
-        for j in logs:
-            counts[(i - j) % q] += 1
-    return counts
-
-
 def _mult_convolution(Y: FSet, Z: FSet) -> int:
     # Nonzero part via the dlog reduction to a cyclic convolution mod p-1;
     # rows and columns touching 0 are added back by a closed-form count.
@@ -105,8 +98,8 @@ def _mult_convolution(Y: FSet, Z: FSet) -> int:
     zz = 1 if 0 in Z else 0
     total = 0
     if ly and lz:
-        ry = _cyclic_rep(ly, q)
-        rz = _cyclic_rep(lz, q)
+        ry = pair_counts(ly, ly, q)
+        rz = pair_counts(lz, lz, q)
         total += sum(a * b for a, b in zip(ry, rz))
     if zz:
         total += len(ly) ** 2

@@ -47,3 +47,13 @@ class EmptyDecomposition(WorkbenchError):
 
 class BadParameters(WorkbenchError):
     """Search parameters are out of range."""
+
+
+class InvariantViolated(WorkbenchError):
+    """An exact invariant failed; unlike an assert, this survives python -O."""
+
+
+def check(condition: bool, message: str) -> None:
+    """Raise InvariantViolated(message) unless condition holds."""
+    if not condition:
+        raise InvariantViolated(message)

@@ -22,11 +22,12 @@ from .core import (
     _require_same_field,
     _rotate,
     negate,
+    pair_counts,
     rep_fn,
     scale,
     sumset,
 )
-from .energy import _mult_mask, multiplicative_energy
+from .energy import _mult_mask
 from .errors import (
     BadEpsilon,
     BadParameters,
@@ -35,6 +36,7 @@ from .errors import (
     GuardExceeded,
     RatioSetFull,
     TooSmall,
+    check,
 )
 from .core import ratio_set
 
@@ -81,7 +83,8 @@ def greedy_cover(B1: FSet, B2: FSet, mode: str = PLUS) -> CoverResult:
     sum_d r_{U+B2}(d)^2 >= (|U||B2|)^2/|U+B2|, so the best translate
     covers >= sum r^2 / sum r >= |U||B2|/|U+B2| >= |U|/K elements
     (symmetrically for minus).  Hence ceil(ln(100) * K) + 1 steps always
-    suffice; both the coverage and the budget are asserted on every run.
+    suffice; the budget is checked at every step and the coverage at the end.
+    r is pair_counts(B1, +/-B2) less the counts of every element covered.
     """
     field = _require_same_field(B1, B2)
     _require_nonempty(B1, B2)
@@ -91,24 +94,24 @@ def greedy_cover(B1: FSet, B2: FSet, mode: str = PLUS) -> CoverResult:
     op = sumset(B1, B2, mode)
     ratio_k = Fraction(op.card, B2.card)
     budget = math.ceil(LN100 * float(ratio_k)) + 1
-    base = B2.mask if mode == PLUS else negate(B2).mask
+    base = B2 if mode == PLUS else negate(B2)
+    ys = list(base)
     uncovered = B1.mask
     covered_mask = 0
     translates: list[int] = []
+    gains = pair_counts(list(B1), ys, p)
     # stop once <= 1% of B1 is uncovered (exact integer comparison)
     while 100 * uncovered.bit_count() > B1.card:
-        best_c, best_gain = -1, 0
-        for c in range(p):
-            gain = (_rotate(base, c, p, full) & uncovered).bit_count()
-            if gain > best_gain:
-                best_c, best_gain = c, gain
+        best_c = gains.index(max(gains))
         translates.append(best_c)
-        hit = _rotate(base, best_c, p, full) & uncovered
+        check(len(translates) <= budget, "covering budget exceeded")
+        hit = _rotate(base.mask, best_c, p, full) & uncovered
         covered_mask |= hit
         uncovered &= ~hit
+        lost = pair_counts(list(field.fset_from_mask(hit)), ys, p)
+        gains = [g - h for g, h in zip(gains, lost)]
     covered = field.fset_from_mask(covered_mask)
-    assert 100 * (B1.card - covered.card) <= B1.card, "coverage invariant broken"
-    assert len(translates) <= budget, "covering budget exceeded"
+    check(100 * (B1.card - covered.card) <= B1.card, "coverage invariant broken")
     return CoverResult(mode, tuple(translates), covered, ratio_k, budget, B1.card, B2.card)
 
 
@@ -140,25 +143,24 @@ def katz_shen_subset(
     _check_guard(len(Bs) <= KATZ_SHEN_MAX_TERMS, f"k={len(Bs)} exceeds exhaustive guard")
     if not Bs:
         return B0, Fraction(1)
-    threshold = (1 - eps) * B0.card
+    min_card = max(1, math.ceil((1 - eps) * B0.card))
     tail = Bs[0]
     for extra in Bs[1:]:
         tail = sumset(tail, extra)
     denom = Fraction(1)
     for Bi in Bs:
         denom *= Fraction(sumset(Bi, B0).card, B0.card)
-    best_ratio: Fraction | None = None
-    best_mask = 0
+    # denom is common to every X: cross-multiply |X+tail|/|X|; X = B0 comes first
+    best_grown, best_card, best_mask = 0, 0, 0
     for sub in _submasks(B0.mask):
         card = sub.bit_count()
-        if card == 0 or card < threshold:
+        if card < min_card:
             continue
-        X = field.fset_from_mask(sub)
-        ratio = Fraction(sumset(X, tail).card) / (denom * card)
-        if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and sub < best_mask):
-            best_ratio, best_mask = ratio, sub
-    assert best_ratio is not None  # X = B0 always qualifies
-    return field.fset_from_mask(best_mask), best_ratio
+        grown = sumset(field.fset_from_mask(sub), tail).card
+        lhs, rhs = grown * best_card, best_grown * card
+        if best_card == 0 or lhs < rhs or (lhs == rhs and sub < best_mask):
+            best_grown, best_card, best_mask = grown, card, sub
+    return field.fset_from_mask(best_mask), best_grown / (denom * best_card)
 
 
 @dataclass(frozen=True)
@@ -225,21 +227,22 @@ def gk_witness(
 def xi_search(A1: FSet) -> tuple[int, int]:
     """Scan all xi in F_p* for the minimizer of E+(A1, xi*A1).
 
-    Uses E+(A, xi*A) = sum_e r_{A-A}(e) * r_{A-A}(xi*e).  The returned
-    minimum always satisfies the exact averaging bound
+    Uses E+(A, xi*A) = sum_e r_{A-A}(e) * r_{A-A}(xi*e) = r(0)^2 + c[dlog xi],
+    c the autocorrelation mod p-1 of the dlogs of (A-A)* weighted by r, which
+    costs |(A-A)*|^2 <= (p-1)^2 pairs.
+    The returned minimum always satisfies the exact averaging bound
     energy * (p-1) <= |A1|^2 (p-1) + |A1|^4.
     """
     _require_nonempty(A1)
-    p = A1.field.p
+    p, dlog = A1.field.p, A1.field.dlog_table
     r = rep_fn(A1, A1, MINUS).counts
-    best_xi, best_energy = 0, None
-    for xi in range(1, p):
-        e_val = sum(r[e] * r[xi * e % p] for e in range(p) if r[e])
-        if best_energy is None or e_val < best_energy:
-            best_xi, best_energy = xi, e_val
-    assert best_energy is not None
+    logs = [dlog[e] for e in range(1, p) if r[e]]
+    weights = [w for w in r[1:] if w]
+    c = pair_counts(logs, logs, p - 1, weights, weights)
+    best_xi = min(range(1, p), key=lambda xi: c[dlog[xi]])
+    best_energy = r[0] ** 2 + c[dlog[best_xi]]
     n = A1.card
-    assert best_energy * (p - 1) <= n * n * (p - 1) + n**4, "xi averaging bound broken"
+    check(best_energy * (p - 1) <= n * n * (p - 1) + n**4, "xi averaging bound broken")
     return best_xi, best_energy
 
 
@@ -282,13 +285,13 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     field = _require_same_field(Y, Z)
     _require_nonempty(Y, Z)
     masks = {y: _mult_mask(y, Z) for y in Y}
-    pivot, s_sum = -1, -1
+    pivot, s_sum, e_val = -1, -1, 0
     for y0 in sorted(Y):
         row = sum((masks[y0] & masks[y]).bit_count() for y in Y)
+        e_val += row  # the rows add up to Ex(Y, Z) exactly
         if row > s_sum:
             pivot, s_sum = y0, row
-    e_val = multiplicative_energy(Y, Z).value
-    assert s_sum * Y.card >= e_val, "pivot pigeonhole broken"
+    check(s_sum * Y.card >= e_val, "pivot pigeonhole broken")
     j_max = max(1, (Z.card - 1).bit_length())
     bucket_masks = {j: 0 for j in range(1, j_max + 1)}
     for y in Y:
@@ -364,7 +367,7 @@ def select_j0(d: BucketDecomposition) -> tuple[int, int]:
             best_j, best_val = j, val
     if best_j == 0:
         raise EmptyDecomposition("no nonempty bucket")
-    assert best_val * 2 * len(d.buckets) >= d.s_sum, "j0 pigeonhole broken"
+    check(best_val * 2 * len(d.buckets) >= d.s_sum, "j0 pigeonhole broken")
     return best_j, best_val
 
 

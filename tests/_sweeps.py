@@ -8,6 +8,7 @@ from sumprod.chains import (
     chain_balanced,
     chain_large,
     chain_small,
+    chain_unbalanced,
     energy_bound_audit,
     prop51_audit,
 )
@@ -30,7 +31,7 @@ def _final_key(report, sign=None):
 
 
 def chain_sweep():
-    """Exhaustive |A| <= 5 sweep of the five chain verifiers.
+    """Exhaustive |A| <= 5 sweep of every chain verifier the CLI exposes.
 
     Returns (violations, floors) where violations lists every failed exact
     step and floors maps report keys to the minimum observed final ratio
@@ -57,6 +58,8 @@ def chain_sweep():
                     note(chain_small(A, sign), sign)
                     note(chain_large(A, sign), sign)
                 note(prop51_audit(A, A))
+                note(chain_unbalanced(A, A, "T13"))
+                note(chain_unbalanced(A, A, "T14"))
                 note(chain_balanced(A, A))
                 note(energy_bound_audit(A))
     return violations, floors

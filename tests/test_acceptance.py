@@ -224,5 +224,5 @@ def test_chain_floor_keys_documented():
     sample_keys = set(FLOORS["chain_final_floors"])
     assert {"T11:plus", "T11:minus", "P51", "T15", "REMARK"} <= sample_keys
     assert all(":" not in k or k.split(":")[0] in
-               {"T11", "T12", "P51", "T15", "REMARK"} for k in sample_keys)
+               {"T11", "T12", "P51", "T13", "T14", "T15", "REMARK"} for k in sample_keys)
     assert _final_key is not None

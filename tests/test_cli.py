@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from sumprod.cli import parse_set, run
 from sumprod.core import make_field
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Golden invocations pin the serialized schema of every report type.
 GOLDEN_CASES = {
@@ -161,3 +165,28 @@ def test_rep_subcommand(capsys):
                 "--sign", "minus"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == [2, 1, 0, 0, 1]
+
+
+def _python(*args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_invariant_violation_is_one_under_optimize():
+    # with ln(100) patched to 0 the covering budget is 1, but the cover needs 3
+    code = (
+        "import sys, sumprod.cli, sumprod.lemmas\n"
+        "assert False, 'asserts must be stripped'\n"
+        "sumprod.lemmas.LN100 = 0.0\n"
+        "sys.exit(sumprod.cli.run(['lemma', 'cover', '--p', '13', '--b1', 'ap:0,1,6', '--b2', '0,1']))"
+    )
+    proc = _python("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "exact invariant violated: covering budget exceeded\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = _python("-c", "import sys, sumprod.cli; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumprod import core
 from sumprod.core import (
     MINUS,
     PLUS,
     dilate,
     make_field,
     negate,
+    pair_counts,
     pattern_combination,
     product_set,
     ratio_set,
@@ -154,16 +158,88 @@ class TestRepFn:
         assert r.total == 6 == sum(r.counts)
         assert r[9] == r.counts[2]
 
-    def test_numpy_path_matches_loop(self):
+    def test_over_pair_threshold_matches_loop(self):
         field = make_field(127)
         A = field.fset(range(1, 60))
-        B = field.fset(range(2, 50))
-        fast = rep_fn(A, B, MINUS)  # 59*48 pairs, over the numpy threshold
-        slow = [0] * 127
+        B = field.fset(range(2, 50))  # 59*48 pairs, over the numpy threshold
+        plus, minus = [0] * 127, [0] * 127
         for a in A:
             for b in B:
-                slow[(a - b) % 127] += 1
-        assert list(fast.counts) == slow
+                plus[(a + b) % 127] += 1
+                minus[(a - b) % 127] += 1
+        assert list(rep_fn(A, B, PLUS).counts) == plus
+        assert list(rep_fn(A, B, MINUS).counts) == minus
+
+
+def _loop_pair_counts(xs, ys, m, xw=None, yw=None):
+    xw = [1] * len(xs) if xw is None else xw
+    yw = [1] * len(ys) if yw is None else yw
+    counts = [0] * m
+    for x, a in zip(xs, xw):
+        for y, b in zip(ys, yw):
+            counts[(x - y) % m] += a * b
+    return counts
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize("nx, ny", [(31, 33), (1, 1023), (32, 32), (1, 1024), (59, 48)])
+    def test_both_sides_of_threshold(self, nx, ny):
+        # 1023 pairs take the loop, 1024 and more the numpy branch
+        rng = random.Random(nx * 1000 + ny)
+        xs = [rng.randrange(-50, 200) for _ in range(nx)]
+        ys = [rng.randrange(-50, 200) for _ in range(ny)]
+        xw = [rng.randrange(0, 5000) for _ in range(nx)]
+        yw = [rng.randrange(0, 5000) for _ in range(ny)]
+        for m in (1, 2, 127, 1009):
+            for got, want in (
+                (pair_counts(xs, ys, m), _loop_pair_counts(xs, ys, m)),
+                (pair_counts(xs, ys, m, xw, yw), _loop_pair_counts(xs, ys, m, xw, yw)),
+            ):
+                assert got == want
+                assert all(type(c) is int for c in got)
+
+    def test_repeated_entries(self):
+        xs = [3] * 40 + [5] * 30
+        ys = [1] * 20 + [3] * 20
+        got = pair_counts(xs, ys, 7)
+        assert got == _loop_pair_counts(xs, ys, 7)
+        assert got[2] == 40 * 20 + 30 * 20 and got[0] == 40 * 20 and got[4] == 30 * 20
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (40, 40)])
+    def test_weights_are_multiplicities(self, nx, ny):
+        # weights w count the same as each entry repeated w times, on both branches
+        xs, ys = [3, 5] * (nx // 2), [1, 3] * (ny // 2)
+        xw, yw = [40, 30] * (nx // 2), [20, 20] * (ny // 2)
+        want = _loop_pair_counts(
+            [x for x, w in zip(xs, xw) for _ in range(w)],
+            [y for y, w in zip(ys, yw) for _ in range(w)],
+            7,
+        )
+        assert pair_counts(xs, ys, 7, xw, yw) == want
+
+    @pytest.mark.parametrize("block", [1, 40, 82, 205, 53 * 41 - 1])
+    def test_block_boundary(self, monkeypatch, block):
+        # blocks of max(1, block // 41) rows out of 53; the last one is partial
+        monkeypatch.setattr(core, "_PAIR_BLOCK", block)
+        rng = random.Random(block)
+        xs = [rng.randrange(1000) for _ in range(53)]
+        ys = [rng.randrange(1000) for _ in range(41)]
+        xw = [rng.randrange(100) for _ in range(53)]
+        assert pair_counts(xs, ys, 101) == _loop_pair_counts(xs, ys, 101)
+        assert pair_counts(xs, ys, 101, xw) == _loop_pair_counts(xs, ys, 101, xw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 10**6)), max_size=70),
+    st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 10**6)), max_size=70),
+    st.integers(1, 400),
+)
+def test_pair_counts_matches_loop(xws, yws, m):
+    xs, xw = [x for x, _ in xws], [w for _, w in xws]
+    ys, yw = [y for y, _ in yws], [w for _, w in yws]
+    assert pair_counts(xs, ys, m) == _loop_pair_counts(xs, ys, m)
+    assert pair_counts(xs, ys, m, xw, yw) == _loop_pair_counts(xs, ys, m, xw, yw)
 
 
 _prime = st.sampled_from([5, 7, 11, 13, 17, 19, 23])

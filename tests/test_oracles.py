@@ -1,0 +1,182 @@
+"""Fast paths against their permanent naive oracles, tie-breaks included.
+
+The oracles are the scans the fast paths replaced: greedy_cover scanned all
+p translates at every step, xi_search scanned every xi against every
+difference, and ratio_set divided every difference by every nonzero one.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import pytest
+
+from sumprod import lemmas
+from sumprod.core import MINUS, PLUS, _rotate, make_field, negate, product_set, ratio_set
+from sumprod.energy import multiplicative_energy
+from sumprod.lemmas import greedy_cover, xi_search
+
+
+def _primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i in range(3, n + 1) if sieve[i]]
+
+
+PRIMES_4099 = st.sampled_from(_primes_upto(4099))
+PRIMES_257 = st.sampled_from(_primes_upto(257))
+PRIMES_65521 = st.one_of(st.just(65521), st.sampled_from(_primes_upto(65521)))
+
+
+def greedy_cover_scan(B1, B2, mode):
+    """(translates, covered mask) of the p-translate greedy scan."""
+    field = B1.field
+    p, full = field.p, field.full_mask
+    base = B2.mask if mode == PLUS else negate(B2).mask
+    uncovered = B1.mask
+    translates = []
+    while 100 * uncovered.bit_count() > B1.card:
+        best_c, best_gain = -1, 0
+        for c in range(p):
+            gain = (_rotate(base, c, p, full) & uncovered).bit_count()
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        translates.append(best_c)
+        uncovered &= ~_rotate(base, best_c, p, full)
+    return tuple(translates), B1.mask & ~uncovered
+
+
+def xi_scan(A):
+    """First xi in 1..p-1 minimizing sum_e r(e) r(xi*e), r = r_{A-A}."""
+    p = A.field.p
+    r = [0] * p
+    for a in A:
+        for b in A:
+            r[(a - b) % p] += 1
+    support = [e for e in range(p) if r[e]]
+    best_xi, best_energy = 0, None
+    for xi in range(1, p):
+        e_val = sum(r[e] * r[xi * e % p] for e in support)
+        if best_energy is None or e_val < best_energy:
+            best_xi, best_energy = xi, e_val
+    return best_xi, best_energy
+
+
+def ratio_set_loop(A):
+    """Mask of {n/d : n, d in A-A, d != 0} by a double loop."""
+    p = A.field.p
+    diff = {(a - b) % p for a in A for b in A}
+    mask = 0
+    for d in diff:
+        if d:
+            dinv = pow(d, -1, p)
+            for n in diff:
+                mask |= 1 << (n * dinv % p)
+    return mask
+
+
+@st.composite
+def _field_set(draw, primes, max_card, min_card=1):
+    p = draw(primes)
+    card = draw(st.integers(min_card, min(max_card, p)))
+    elements = draw(st.lists(st.integers(0, p - 1), min_size=card, max_size=card, unique=True))
+    return make_field(p).fset(elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_set(PRIMES_4099, 10))
+def test_xi_search_matches_scan(A):
+    assert xi_search(A) == xi_scan(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_set(PRIMES_257, 257))
+def test_xi_search_matches_scan_on_dense_sets(A):
+    # |A| up to p, where |A-A| is most of F_p and the differences repeat often
+    assert xi_search(A) == xi_scan(A)
+
+
+@pytest.mark.parametrize("kind", ["F_p*", "F_p", "half"])
+def test_xi_search_large_set(kind, monkeypatch):
+    # |A| >> sqrt(p): the autocorrelation runs over the distinct differences,
+    # at most (p-1)^2 weighted pairs, never over (|A|^2-|A|)^2 repeated ones
+    p = 1009
+    field = make_field(p)
+    A = {"F_p*": field.fset(range(1, p)), "F_p": field.fset(range(p)),
+         "half": field.fset(range(0, p, 2))}[kind]
+    pairs = []
+    real = lemmas.pair_counts
+
+    def counting(xs, ys, m, *weights):
+        pairs.append(len(xs) * len(ys))
+        assert pairs[-1] <= (p - 1) ** 2
+        return real(xs, ys, m, *weights)
+
+    monkeypatch.setattr(lemmas, "pair_counts", counting)
+    assert xi_search(A) == xi_scan(A)
+    assert len(pairs) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_set(PRIMES_4099, 40), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_greedy_cover_matches_scan(B1, n2, rng):
+    p = B1.field.p
+    B2 = B1.field.fset(rng.sample(range(p), min(n2, p)))
+    for mode in (PLUS, MINUS):
+        res = greedy_cover(B1, B2, mode)
+        assert (res.translates, res.covered.mask) == greedy_cover_scan(B1, B2, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_set(PRIMES_257, 257), st.integers(1, 257), st.randoms(use_true_random=False))
+def test_greedy_cover_matches_scan_on_dense_sets(B1, n2, rng):
+    # counts of U - B2 over 1024 pairs take the numpy branch, then shrink step by step
+    p = B1.field.p
+    B2 = B1.field.fset(rng.sample(range(p), min(n2, p)))
+    for mode in (PLUS, MINUS):
+        res = greedy_cover(B1, B2, mode)
+        assert (res.translates, res.covered.mask) == greedy_cover_scan(B1, B2, mode)
+
+
+def test_greedy_cover_pairs(monkeypatch):
+    # the counts start from B1 - B2 and every covered element is subtracted once
+    rng = random.Random(5)
+    field = make_field(4099)
+    B1, B2 = field.fset(rng.sample(range(4099), 1500)), field.fset(rng.sample(range(4099), 900))
+    pairs = []
+    real = lemmas.pair_counts
+
+    def counting(xs, ys, m):
+        pairs.append(len(xs) * len(ys))
+        return real(xs, ys, m)
+
+    monkeypatch.setattr(lemmas, "pair_counts", counting)
+    res = greedy_cover(B1, B2, PLUS)
+    assert (res.translates, res.covered.mask) == greedy_cover_scan(B1, B2, PLUS)
+    assert sum(pairs) == (B1.card + res.covered.card) * B2.card
+
+
+@settings(max_examples=25, deadline=None)
+@given(_field_set(PRIMES_65521, 16, min_card=2))
+def test_ratio_set_matches_loop(A):
+    assert ratio_set(A).mask == ratio_set_loop(A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_field_set(PRIMES_65521, 48), st.integers(1, 48), st.randoms(use_true_random=False))
+def test_multiplicative_energy_matches_naive(Y, nz, rng):
+    p = Y.field.p
+    Z = Y.field.fset(rng.sample(range(p), min(nz, p)))
+    assert multiplicative_energy(Y, Z) == multiplicative_energy(Y, Z, method="naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_set(PRIMES_65521, 40), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_product_set_matches_naive(A, nb, rng):
+    # results of 48 or more log-domain bits take the one-pass digit decode
+    p = A.field.p
+    B = A.field.fset(rng.sample(range(p), min(nb, p)))
+    assert product_set(A, B) == product_set(A, B, method="naive")
