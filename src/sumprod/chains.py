@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     MINUS,
@@ -356,8 +357,13 @@ def _bucket_construction(
     )
 
 
-def prop51_audit(A: FSet, B: FSet) -> ChainReport:
-    """Per-bucket covering construction behind the different-set estimates."""
+@lru_cache(maxsize=4)
+def _p51(A: FSet, B: FSet) -> tuple[tuple[ChainStep, ...], BucketDecomposition, int, int]:
+    """Steps, (A*, B*) decomposition and final ratio of the P51 audit.
+
+    Memoized: T13 and T14 extend the audit of the (A, B) just audited.
+    Callers share the result, so they must not mutate the decomposition.
+    """
     _require_same_field(A, B)
     _require_nonempty(A, B)
     steps: list[ChainStep] = []
@@ -390,11 +396,17 @@ def prop51_audit(A: FSet, B: FSet) -> ChainReport:
     steps.append(
         diag_step("final (a): max 16^j|A_j|^3 vs |A+B|^10/(|A|^3|B|)", final_num, final_den)
     )
+    return tuple(steps), d, final_num, final_den
+
+
+def prop51_audit(A: FSet, B: FSet) -> ChainReport:
+    """Per-bucket covering construction behind the different-set estimates."""
+    steps, _, final_num, final_den = _p51(A, B)
     return ChainReport(
         theorem="P51",
         sign=None,
         inputs=_inputs(A, B),
-        steps=tuple(steps),
+        steps=steps,
         final_num=final_num,
         final_den=final_den,
     )
@@ -404,10 +416,9 @@ def chain_unbalanced(A: FSet, B: FSet, theorem: str = "T13") -> ChainReport:
     """Different-set chains: bucket pigeonhole plus the ratio-set case split."""
     if theorem not in ("T13", "T14"):
         raise ValueError(f"bad theorem {theorem!r}")
-    base = prop51_audit(A, B)
-    steps = list(base.steps)
+    base_steps, d, _, _ = _p51(A, B)
+    steps = list(base_steps)
     p = A.field.p
-    d = chang_decompose(_strip_zero(A), _strip_zero(B))
     j0, cert = select_j0(d)
     steps.append(
         exact_step("j0 pigeonhole: s_sum <= 2*J*2^j0*|A_j0|", d.s_sum, 2 * len(d.buckets) * cert)

@@ -21,10 +21,15 @@ from .errors import (
     ModulusTooSmall,
     TooSmall,
     ZeroDilation,
+    _check_guard,
 )
 
 PLUS = "plus"
 MINUS = "minus"
+
+# Largest modulus make_field builds: its two p-entry tables peak near 114 MB
+# of RSS (0.5 s) at p = 1048573 and grow linearly beyond.
+MAX_FIELD_P = 1 << 20
 
 # pair count from which numpy beats the pure-Python loop
 _NUMPY_PAIR_THRESHOLD = 1024
@@ -107,9 +112,10 @@ class PrimeField:
 
 @lru_cache(maxsize=64)
 def make_field(p: int) -> PrimeField:
-    """Build the PrimeField for an odd prime p (smallest primitive root)."""
+    """Build the PrimeField for an odd prime p <= MAX_FIELD_P (smallest primitive root)."""
     if p < 3:
         raise ModulusTooSmall(f"modulus must be >= 3, got {p}")
+    _check_guard(p <= MAX_FIELD_P, f"p={p} exceeds the field-size guard {MAX_FIELD_P}")
     if not _is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
     factors = _prime_factors(p - 1)

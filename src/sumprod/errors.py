@@ -1,4 +1,6 @@
-"""Exception types shared by all workbench modules."""
+"""Exception types shared by all workbench modules, and the size-guard check."""
+
+import os
 
 
 class WorkbenchError(Exception):
@@ -57,3 +59,13 @@ def check(condition: bool, message: str) -> None:
     """Raise InvariantViolated(message) unless condition holds."""
     if not condition:
         raise InvariantViolated(message)
+
+
+def _guards_lifted() -> bool:
+    return os.environ.get("SPW_GUARD_OVERRIDE") == "1"
+
+
+def _check_guard(condition: bool, message: str) -> None:
+    """Raise GuardExceeded(message) unless condition holds or SPW_GUARD_OVERRIDE=1."""
+    if not condition and not _guards_lifted():
+        raise GuardExceeded(message)

@@ -9,7 +9,6 @@ smallest element/index so certificates are deterministic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,9 +32,9 @@ from .errors import (
     BadParameters,
     EmptyDecomposition,
     EmptyOperand,
-    GuardExceeded,
     RatioSetFull,
     TooSmall,
+    _check_guard,
     check,
 )
 from .core import ratio_set
@@ -49,15 +48,6 @@ KATZ_SHEN_MAX_TERMS = 3
 # max_j 16^j |Y_j|^3  >=  CHANG_CONSTANT * Ex(Y,Z)^4 / (|Y|^4 * max(m, |Z|))
 # where m is the largest bucket size; see chang_floor_holds for the proof.
 CHANG_CONSTANT_DEN = 400_000
-
-
-def _guards_lifted() -> bool:
-    return os.environ.get("SPW_GUARD_OVERRIDE") == "1"
-
-
-def _check_guard(condition: bool, message: str) -> None:
-    if not condition and not _guards_lifted():
-        raise GuardExceeded(message)
 
 
 @dataclass(frozen=True)
@@ -174,19 +164,15 @@ class GkWitness:
     target_den: int
 
 
-def _witness_card(P: FSet, d1: int, d2: int, variant: str) -> int:
-    first = scale(P, d1)
-    inner = sumset(first, first, PLUS if variant == "plus_plus" else MINUS)
-    return sumset(inner, scale(P, d2)).card
-
-
 def gk_witness(
     A1: FSet, variant: str = "plus_plus", probes: Sequence[FSet] | None = None
 ) -> GkWitness:
     """Exhaustive search for the best quadruple (a,b,c,d), a != b.
 
     Maximizes the minimum over probes of |(b-a)P +/- (b-a)P + (d-c)P|;
-    ties break toward the lexicographically smallest quadruple.
+    ties break toward the lexicographically smallest quadruple.  Dilation
+    by b-a != 0 is a bijection, so that size is |P +/- P + tP| with
+    t = (d-c)/(b-a) in the ratio set of A1: each t is scored once.
     """
     if A1.card < 2:
         raise TooSmall("gk_witness needs |A1| >= 2")
@@ -201,23 +187,24 @@ def gk_witness(
             raise ValueError("probes must be subsets of A1")
         _require_nonempty(P)
     p = A1.field.p
+    sign = PLUS if variant == "plus_plus" else MINUS
+    inner = [(P, sumset(P, P, sign)) for P in probes]
     els = sorted(A1)
-    cache: dict[tuple[int, int], int] = {}
+    cache: dict[int, int] = {}
     best_score = -1
     best_quad = (0, 0, 0, 0)
     for a in els:
         for b in els:
             if a == b:
                 continue
-            d1 = (b - a) % p
+            inv_d1 = A1.field.inv(b - a)
             for c in els:
                 for d in els:
-                    d2 = (d - c) % p
-                    key = (d1, d2)
-                    score = cache.get(key)
+                    t = (d - c) * inv_d1 % p
+                    score = cache.get(t)
                     if score is None:
-                        score = min(_witness_card(P, d1, d2, variant) for P in probes)
-                        cache[key] = score
+                        score = min(sumset(PP, scale(P, t)).card for P, PP in inner)
+                        cache[t] = score
                     if score > best_score:
                         best_score = score
                         best_quad = (a, b, c, d)

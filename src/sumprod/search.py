@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
 
 from .core import FSet, dilate, make_field, product_set, ratio_set, sumset
-from .errors import BadParameters, EmptyOperand, GuardExceeded
-from .lemmas import _guards_lifted
+from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted
 
 CLASS_GUARD = 10**8
 CHECKPOINT_EVERY = 10**6

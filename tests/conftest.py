@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sumprod.chains import _p51
 from sumprod.core import make_field
 
 # Primes used by the seeded random suite (5 .. 257).
@@ -35,6 +36,12 @@ def random_pair(rng, zero_free=True, max_card=24):
 def suite_instances(count=1000, seed=SUITE_SEED):
     rng = random.Random(seed)
     return [random_pair(rng) for _ in range(count)]
+
+
+@pytest.fixture(autouse=True)
+def _cold_p51_memo():
+    """Every test starts with an empty P51 memo, so none passes by test order."""
+    _p51.cache_clear()
 
 
 _CRITERION_LINES: list[str] = []

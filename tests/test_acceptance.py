@@ -19,7 +19,7 @@ import pytest
 from conftest import SUITE_PRIMES, record_criterion, suite_instances
 from _sweeps import chain_sweep, chang_min_ratio, _final_key
 
-from sumprod.chains import EXACT
+from sumprod.chains import EXACT, _p51
 from sumprod.cli import run
 from sumprod.core import MINUS, PLUS, make_field, product_set, sumset
 from sumprod.energy import (
@@ -157,6 +157,8 @@ def test_criterion_7_chain_verifiers():
         start = time.perf_counter()
         violations, floors = chain_sweep()
         assert violations == []
+        memo = _p51.cache_info()
+        assert memo.currsize <= memo.maxsize
         frozen = FLOORS["chain_final_floors"]
         assert set(floors) == set(frozen)
         for key, ratio in floors.items():

@@ -1,7 +1,11 @@
+import copy
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from sumprod import chains
 from sumprod.chains import (
     DIAGNOSTIC,
     EXACT,
@@ -189,3 +193,79 @@ def test_dilation_invariance_of_reports():
         assert (r1.final_num, r1.final_den) == (r2.final_num, r2.final_den)
         b1, b2 = chain_balanced(A, A), chain_balanced(dilate(A, u), dilate(A, u))
         assert (b1.final_num, b1.final_den) == (b2.final_num, b2.final_den)
+
+
+MEMO_PAIRS = [
+    (F13.fset([1, 2, 3, 5, 8]), F13.fset([1, 3, 9])),
+    (F13.fset([1, 3, 9]), F13.fset([1, 2, 3, 5, 8])),
+    (F7.fset([1, 2, 3]), F7.fset([1, 2])),
+    (F11.fset([0, 1, 2, 3, 4]), F11.fset([0, 1, 2])),
+    (F13.fset(range(1, 13)), F13.fset([1, 5, 8])),
+]
+MEMO_CALLS = {
+    "P51": prop51_audit,
+    "T13": lambda A, B: chain_unbalanced(A, B, "T13"),
+    "T14": lambda A, B: chain_unbalanced(A, B, "T14"),
+}
+
+
+@pytest.fixture
+def unmemoized(monkeypatch):
+    """Every (pair, theorem) report computed with the memo bypassed."""
+    with monkeypatch.context() as m:
+        m.setattr(chains, "_p51", chains._p51.__wrapped__)
+        return {(i, name): call(A, B) for i, (A, B) in enumerate(MEMO_PAIRS)
+                for name, call in MEMO_CALLS.items()}
+
+
+class TestP51Memo:
+    @pytest.mark.parametrize("order", list(itertools.permutations(MEMO_CALLS)))
+    def test_every_call_order(self, unmemoized, order):
+        for i, (A, B) in enumerate(MEMO_PAIRS):
+            for _ in range(2):  # the second pass reads every entry from the memo
+                for name in order:
+                    assert MEMO_CALLS[name](A, B) == unmemoized[i, name]
+            chains._p51.cache_clear()
+            assert MEMO_CALLS[order[-1]](A, B) == unmemoized[i, order[-1]]
+
+    def test_interleaved_pairs(self, unmemoized):
+        rng = random.Random(3)
+        calls = [(i, name) for i in range(len(MEMO_PAIRS)) for name in MEMO_CALLS] * 3
+        rng.shuffle(calls)
+        for i, name in calls:
+            assert MEMO_CALLS[name](*MEMO_PAIRS[i]) == unmemoized[i, name]
+
+    def test_t14_extends_p51(self):
+        A, B = MEMO_PAIRS[0]
+        t14 = chain_unbalanced(A, B, "T14")
+        p51 = prop51_audit(A, B)
+        assert t14.steps[: len(p51.steps)] == p51.steps
+        assert chains._p51.cache_info().hits == 1
+
+    def test_fresh_inputs(self):
+        A, B = MEMO_PAIRS[0]
+        for name, call in MEMO_CALLS.items():
+            first = call(A, B)
+            want = copy.deepcopy(first.inputs)
+            first.inputs["a"].append(99)
+            first.inputs["p"] = 0
+            assert call(A, B).inputs == want, name
+
+    def test_keyed_by_both_sets(self):
+        A = F13.fset([1, 2, 3, 5, 8])
+        r1 = prop51_audit(A, F13.fset([1, 3, 9]))
+        r2 = prop51_audit(A, F13.fset([1, 2]))
+        assert r1.inputs["b"] != r2.inputs["b"]
+        assert (r1.final_num, r1.final_den) != (r2.final_num, r2.final_den)
+        assert r1.steps != r2.steps
+
+    def test_bounded(self):
+        maxsize = chains._p51.cache_info().maxsize
+        assert maxsize is not None
+        for combo in itertools.combinations(range(7), 3):
+            A = F7.fset(combo)
+            for call in MEMO_CALLS.values():
+                call(A, A)
+        info = chains._p51.cache_info()
+        assert info.currsize <= maxsize < info.misses
+        assert info.hits == 2 * info.misses  # T13 and T14 reuse the P51 run

@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -167,10 +169,10 @@ def test_rep_subcommand(capsys):
     assert payload["counts"] == [2, 1, 0, 0, 1]
 
 
-def _python(*args):
+def _python(*args, **kwargs):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
 
 
 def test_invariant_violation_is_one_under_optimize():
@@ -190,3 +192,22 @@ def test_invariant_violation_is_one_under_optimize():
 def test_cli_import_leaves_numpy_unloaded():
     proc = _python("-c", "import sys, sumprod.cli; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def _cap_address_space():
+    # a missing guard then fails with MemoryError instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_field_size_guard_is_three(monkeypatch):
+    # two p-entry tables at p = 10**9 + 7 would take about 90 GB; the guard
+    # refuses p > MAX_FIELD_P before the primality test and the tables.
+    # Run in a capped child process, never in this one.
+    monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+    argv = ["set", "--p", "1000000007", "--a", "1,2", "--b", "3", "--op", "sum"]
+    start = time.monotonic()
+    proc = _python("-m", "sumprod.cli", *argv, preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("guard exceeded: p=1000000007")
+    assert time.monotonic() - start < 10.0

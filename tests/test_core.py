@@ -23,6 +23,7 @@ from sumprod.errors import (
     CompositeModulus,
     EmptyOperand,
     FieldMismatch,
+    GuardExceeded,
     ModulusTooSmall,
     TooSmall,
     ZeroDilation,
@@ -44,6 +45,18 @@ class TestMakeField:
     def test_too_small(self):
         with pytest.raises(ModulusTooSmall):
             make_field(2)
+
+    def test_size_guard(self, monkeypatch):
+        assert 65521 < core.MAX_FIELD_P  # every prime the tests and the benchmark use
+        build = make_field.__wrapped__  # past the cache of fields already built
+        monkeypatch.setattr(core, "MAX_FIELD_P", 100)
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        assert build(97).p == 97
+        for p in (101, 102):  # 102 is refused before the primality test
+            with pytest.raises(GuardExceeded):
+                build(p)
+        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")
+        assert build(101).p == 101
 
     def test_dlog_roundtrip_large(self):
         import random

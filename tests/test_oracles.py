@@ -6,15 +6,27 @@ difference, and ratio_set divided every difference by every nonzero one.
 """
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from sumprod import lemmas
-from sumprod.core import MINUS, PLUS, _rotate, make_field, negate, product_set, ratio_set
-from sumprod.energy import multiplicative_energy
-from sumprod.lemmas import greedy_cover, xi_search
+from sumprod.core import (
+    MINUS,
+    PLUS,
+    _rotate,
+    make_field,
+    negate,
+    product_set,
+    ratio_set,
+    rep_fn,
+    scale,
+    sumset,
+)
+from sumprod.energy import additive_energy, multiplicative_energy
+from sumprod.lemmas import GkWitness, gk_witness, greedy_cover, xi_search
 
 
 def _primes_upto(n):
@@ -180,3 +192,101 @@ def test_product_set_matches_naive(A, nb, rng):
     p = A.field.p
     B = A.field.fset(rng.sample(range(p), min(nb, p)))
     assert product_set(A, B) == product_set(A, B, method="naive")
+
+
+def gk_witness_pairs(A1, variant, probes):
+    """The lex-first quadruple scan scoring each (b-a, d-c) pair on its own."""
+    p = A1.field.p
+    sign = PLUS if variant == "plus_plus" else MINUS
+    els = sorted(A1)
+    cache = {}
+    best_score, best_quad = -1, (0, 0, 0, 0)
+    for a in els:
+        for b in els:
+            if a == b:
+                continue
+            d1 = (b - a) % p
+            for c in els:
+                for d in els:
+                    key = (d1, (d - c) % p)
+                    if key not in cache:
+                        cache[key] = min(
+                            sumset(sumset(scale(P, d1), scale(P, d1), sign), scale(P, key[1])).card
+                            for P in probes
+                        )
+                    if cache[key] > best_score:
+                        best_score, best_quad = cache[key], (a, b, c, d)
+    return GkWitness(best_quad, variant, best_score, A1.card**2, 1)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_gk_witness_matches_pair_scan(p):
+    # every set with a proper ratio set, probed by itself and by two proper subsets
+    field = make_field(p)
+    checked = 0
+    for n in range(2, 6):
+        for combo in combinations(range(p), n):
+            A = field.fset(combo)
+            if ratio_set(A).card == p:
+                continue
+            subsets = [field.fset(combo[1:]), field.fset(combo[:-1])]
+            for variant in ("plus_plus", "plus_minus"):
+                for probes in ([A], subsets):
+                    assert gk_witness(A, variant, probes) == gk_witness_pairs(A, variant, probes)
+            checked += 1
+    assert checked > 0
+
+
+@st.composite
+def _sparse_or_dense_pair(draw):
+    """Two sets over one prime <= 65521, p = 65521 about half the time.
+
+    Each set is either a sparse random set or a dense one: a window of up
+    to 300 consecutive residues (wrapping past p - 1) with about 3/4 of
+    them kept, which at small p is most of the field.  Either may hold 0.
+    """
+    p = draw(PRIMES_65521)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def one():
+        if draw(st.booleans()):
+            width = draw(st.integers(1, min(p, 300)))
+            start = draw(st.integers(0, p - 1))
+            els = {(start + i) % p for i in range(width) if rng.random() < 0.75} or {start}
+        else:
+            els = set(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40)))
+        if draw(st.booleans()):
+            els.add(0)
+        return make_field(p).fset(els)
+
+    return one(), one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair())
+def test_sumset_matches_naive_at_large_p(ab):
+    A, B = ab
+    for sign in (PLUS, MINUS):
+        assert sumset(A, B, sign) == sumset(A, B, sign, method="naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair())
+def test_additive_energy_matches_naive_at_large_p(yz):
+    Y, Z = yz
+    assert additive_energy(Y, Z) == additive_energy(Y, Z, method="naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair())
+def test_rep_fn_matches_loop_at_large_p(ab):
+    # |A||B| >= 1024 takes pair_counts' numpy branch, smaller pairs its loop
+    A, B = ab
+    p = A.field.p
+    for sign, op in ((PLUS, lambda a, b: a + b), (MINUS, lambda a, b: a - b)):
+        want = [0] * p
+        for a in A:
+            for b in B:
+                want[op(a, b) % p] += 1
+        r = rep_fn(A, B, sign)
+        assert list(r.counts) == want and r.total == A.card * B.card
