@@ -12,6 +12,7 @@ exact rational.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from .core import (
     _require_nonempty,
     _require_same_field,
     negate,
+    pattern_combination,
     product_set,
     ratio_set,
     scale,
@@ -117,7 +119,7 @@ def _strip_zero(S: FSet) -> FSet:
     return S
 
 
-def extract_half_subset(A: FSet, sign: str, keep: float = EXTRACTION_KEEP) -> tuple[FSet, str]:
+def extract_half_subset(A: FSet, sign: str) -> tuple[FSet, str]:
     """A subset Z of A with 2|Z| >= |A| controlling |Z s A s A s A|.
 
     Two exhaustive subset extractions (each keeping a sqrt(2)/2 fraction)
@@ -126,7 +128,7 @@ def extract_half_subset(A: FSet, sign: str, keep: float = EXTRACTION_KEEP) -> tu
     """
     sA = _signed(A, sign)
     if A.card <= EXHAUSTIVE_EXTRACTION_LIMIT:
-        eps = 1.0 - keep
+        eps = 1.0 - EXTRACTION_KEEP
         X1, _ = katz_shen_subset(A, [sA, sA, sA], eps)
         Z, _ = katz_shen_subset(X1, [sA, sA, sA], eps)
         return Z, "exhaustive"
@@ -176,6 +178,41 @@ def _inputs(A: FSet, B: FSet | None = None) -> dict:
     return out
 
 
+def _case(d: BucketDecomposition, bucket: str, steps: list[ChainStep]) -> str:
+    """The j0 pigeonhole step, then T12/T14's split: club iff |X_j0|^2 > p and R(X_j0) = F_p."""
+    j0, cert = select_j0(d)
+    # interned, as a literal name would be: a sweep keeps every report
+    name = sys.intern(f"j0 pigeonhole: s_sum <= 2*J*2^j0*|{bucket}_j0|")
+    steps.append(exact_step(name, d.s_sum, 2 * len(d.buckets) * cert))
+    X = d.buckets[j0]
+    p = X.field.p
+    return "club" if X.card**2 > p and ratio_set(X).card == p else "spade"
+
+
+def _pair_front(
+    A: FSet, B: FSet, pivot: str, steps: list[ChainStep]
+) -> tuple[FSet, FSet, BucketDecomposition, FSet]:
+    """P51 and T15's opening: zero removal, the (A*, B*) decomposition, A*B*, energy floor."""
+    _require_same_field(A, B)
+    _require_nonempty(A, B)
+    As = _strip_zero(A)
+    Bs = _strip_zero(B)
+    steps.append(exact_step("zero removal: |A| <= 2|A*|", A.card, 2 * As.card))
+    steps.append(exact_step("zero removal: |B| <= 2|B*|", B.card, 2 * Bs.card))
+    d = chang_decompose(As, Bs)
+    abp = product_set(As, Bs)
+    name = sys.intern(f"{pivot} pigeonhole: Ex(A*,B*) <= s_sum*|A*|")  # as in _case
+    steps.append(exact_step(name, d.energy, d.s_sum * As.card))
+    steps.append(
+        exact_step(
+            "energy floor: |A*|^2|B*|^2 <= Ex(A*,B*)*|A*B*|",
+            As.card**2 * Bs.card**2,
+            d.energy * abp.card,
+        )
+    )
+    return As, Bs, d, abp
+
+
 def chain_small(A: FSet, sign: str = PLUS) -> ChainReport:
     """Small-set chain: |AsA|^8 |AA|^4 against |A|^13."""
     _require_nonempty(A)
@@ -212,14 +249,7 @@ def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
         warnings.append("|A|^2 < p: large-set hypothesis not met")
     steps: list[ChainStep] = []
     Z, _, asa, d = _front_end(A, sign, steps)
-    j0, cert = select_j0(d)
-    steps.append(
-        exact_step("j0 pigeonhole: s_sum <= 2*J*2^j0*|Z_j0|", d.s_sum, 2 * len(d.buckets) * cert)
-    )
-    zj0 = d.buckets[j0]
-    ratio_proper = zj0.card < 2 or ratio_set(zj0).card < p
-    small_bucket = zj0.card**2 <= p
-    case = "spade" if (ratio_proper or small_bucket) else "club"
+    case = _case(d, "Z", steps)
     aa = product_set(A, A)
     spade_lhs = (asa.card**8 * aa.card**4) ** 2 * p
     spade_rhs = A.card**28
@@ -267,7 +297,7 @@ def _bucket_construction(
     p = A.field.p
     tag = f"bucket j={j}"
     ab = sumset(A, B)
-    b4 = signed_combination([(B, PLUS)] * 4)
+    b4 = pattern_combination(B, "++++")
     steps.append(
         diag_step(
             f"{tag} ceiling: 16^j|A_j|^3 vs |A+A||A+B|^4|4B|",
@@ -298,8 +328,6 @@ def _bucket_construction(
         a, b, c, d = _xi_quadruple(Aj, xi)
     else:
         a, b, c, d = gk_witness(Aj, "plus_plus", [Aj]).quadruple
-    d1 = (b - a) % p
-    d2 = (d - c) % p
     counts = []
     covered_masks = []
     quad_signed = [(-a) % p, b, (-c) % p, d]
@@ -328,14 +356,14 @@ def _bucket_construction(
     steps.append(exact_step(f"{tag} retention: 4|A_j| <= 5|A'|", 4 * Aj.card, 5 * Ap.card))
     if Ap.card == 0:
         return
-    parts = [scale(Ap, u) for u in quad_signed]
-    lhs4 = sumset(sumset(sumset(parts[0], parts[1]), parts[2]), parts[3]).card
+    lhs4 = signed_combination([(scale(Ap, u), PLUS) for u in quad_signed]).card
     n_prod = counts[0] * counts[1] * counts[2] * counts[3]
     steps.append(
         exact_step(f"{tag} four-cover product: |-aA'+bA'-cA'+dA'| <= n_a n_b n_c n_d |4B|", lhs4, n_prod * b4.card)
     )
-    two_term = sumset(scale(Ap, d1), scale(Ap, d2))
-    three_term = sumset(sumset(scale(Ap, d1), scale(Ap, d1)), scale(Ap, d2))
+    Ad1, Ad2 = scale(Ap, b - a), scale(Ap, d - c)
+    two_term = sumset(Ad1, Ad2)
+    three_term = signed_combination([(Ad1, PLUS), (Ad1, PLUS), (Ad2, PLUS)])
     if ratio_full:
         steps.append(
             diag_step(
@@ -364,29 +392,13 @@ def _p51(A: FSet, B: FSet) -> tuple[tuple[ChainStep, ...], BucketDecomposition, 
     Memoized: T13 and T14 extend the audit of the (A, B) just audited.
     Callers share the result, so they must not mutate the decomposition.
     """
-    _require_same_field(A, B)
-    _require_nonempty(A, B)
     steps: list[ChainStep] = []
-    As = _strip_zero(A)
-    Bs = _strip_zero(B)
-    steps.append(exact_step("zero removal: |A| <= 2|A*|", A.card, 2 * As.card))
-    steps.append(exact_step("zero removal: |B| <= 2|B*|", B.card, 2 * Bs.card))
-    d = chang_decompose(As, Bs)
-    a0 = d.pivot
-    ab_prod = product_set(As, Bs)
-    steps.append(exact_step("a0 pigeonhole: Ex(A*,B*) <= s_sum*|A*|", d.energy, d.s_sum * As.card))
-    steps.append(
-        exact_step(
-            "energy floor: |A*|^2|B*|^2 <= Ex(A*,B*)*|A*B*|",
-            As.card**2 * Bs.card**2,
-            d.energy * ab_prod.card,
-        )
-    )
+    As, Bs, d, ab_prod = _pair_front(A, B, "a0", steps)
     steps.append(
         exact_step("a0 row: |A*||B*|^2 <= s_sum*|A*B*|", As.card * Bs.card**2, d.s_sum * ab_prod.card)
     )
     for j, Aj in sorted(d.nonempty.items()):
-        _bucket_construction(As, Bs, a0, j, Aj, steps)
+        _bucket_construction(As, Bs, d.pivot, j, Aj, steps)
     pa = plunnecke_audit(A, B, 4)
     steps.append(exact_step("PR doubling: |A+A||B| <= |A+B|^2", pa.lhs_doubling, pa.rhs_doubling))
     steps.append(exact_step("PR iterated: |4B||A|^3 <= |A+B|^4", pa.lhs_iterated, pa.rhs_iterated))
@@ -419,13 +431,7 @@ def chain_unbalanced(A: FSet, B: FSet, theorem: str = "T13") -> ChainReport:
     base_steps, d, _, _ = _p51(A, B)
     steps = list(base_steps)
     p = A.field.p
-    j0, cert = select_j0(d)
-    steps.append(
-        exact_step("j0 pigeonhole: s_sum <= 2*J*2^j0*|A_j0|", d.s_sum, 2 * len(d.buckets) * cert)
-    )
-    aj0 = d.buckets[j0]
-    ratio_proper = aj0.card < 2 or ratio_set(aj0).card < p
-    case = "spade" if (ratio_proper or aj0.card**2 <= p) else "club"
+    case = _case(d, "A", steps)
     ab = sumset(A, B).card
     abp = product_set(A, B).card
     lg_b = _dyadic_log(B.card)
@@ -468,27 +474,12 @@ def chain_unbalanced(A: FSet, B: FSet, theorem: str = "T13") -> ChainReport:
 
 def chain_balanced(A: FSet, B: FSet) -> ChainReport:
     """Comparable-size chain: |A+B|^10 |AB|^4 against |A|^15."""
-    _require_same_field(A, B)
-    _require_nonempty(A, B)
     warnings = []
     lo, hi = sorted((A.card, B.card))
     if hi > 2 * lo:
         warnings.append("|A| and |B| differ by more than a factor of 2")
     steps: list[ChainStep] = []
-    As = _strip_zero(A)
-    Bs = _strip_zero(B)
-    steps.append(exact_step("zero removal: |A| <= 2|A*|", A.card, 2 * As.card))
-    steps.append(exact_step("zero removal: |B| <= 2|B*|", B.card, 2 * Bs.card))
-    d = chang_decompose(As, Bs)
-    abp = product_set(As, Bs)
-    steps.append(exact_step("pivot pigeonhole: Ex(A*,B*) <= s_sum*|A*|", d.energy, d.s_sum * As.card))
-    steps.append(
-        exact_step(
-            "energy floor: |A*|^2|B*|^2 <= Ex(A*,B*)*|A*B*|",
-            As.card**2 * Bs.card**2,
-            d.energy * abp.card,
-        )
-    )
+    As, _, d, abp = _pair_front(A, B, "pivot", steps)
     steps.append(
         diag_step("bucket lemma: max 16^j|A_j|^3 vs Ex(A,B)^4/|A|^5", d.lhs * As.card**5, d.energy**4)
     )
@@ -517,9 +508,9 @@ def energy_bound_audit(A: FSet) -> ChainReport:
     n = A.card
     a_plus = sumset(A, A, PLUS).card
     a_minus = sumset(A, A, MINUS).card
-    mixed = signed_combination([(A, PLUS), (A, PLUS), (A, MINUS), (A, MINUS)]).card
-    plus4 = signed_combination([(A, PLUS)] * 4).card
-    minus4 = signed_combination([(A, PLUS), (A, MINUS), (A, MINUS), (A, MINUS)]).card
+    mixed = pattern_combination(A, "++--").card
+    plus4 = pattern_combination(A, "++++").card
+    minus4 = pattern_combination(A, "+---").card
     lg = _dyadic_log(n)
     steps = [
         diag_step("log form: Ex^4 vs |A|^5|A-A|^5|A+A-A-A| Lg^4", e4, n**5 * a_minus**5 * mixed * lg**4),

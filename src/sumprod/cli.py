@@ -59,7 +59,8 @@ def parse_set(spec: str, field: PrimeField) -> FSet:
             start, step, length = (int(t) for t in spec[3:].split(","))
             if length < 1:
                 raise UsageError("progression length must be >= 1")
-            return field.fset((start + i * step) % p for i in range(length))
+            # a progression mod p repeats within p terms
+            return field.fset((start + i * step) % p for i in range(min(length, p)))
         if spec.startswith("gp:"):
             start, ratio, length = (int(t) for t in spec[3:].split(","))
             if length < 1:
@@ -67,7 +68,7 @@ def parse_set(spec: str, field: PrimeField) -> FSet:
             if ratio % p == 0:
                 raise UsageError("gp ratio must be nonzero mod p")
             vals, cur = [], start % p
-            for _ in range(length):
+            for _ in range(min(length, p)):
                 vals.append(cur)
                 cur = cur * ratio % p
             return field.fset(vals)

@@ -241,7 +241,7 @@ def negate(A: FSet) -> FSet:
     return dilate(A, A.field.p - 1)
 
 
-def signed_combination(terms: Sequence[tuple[FSet, str]], method: str = "bitmask") -> FSet:
+def signed_combination(terms: Sequence[tuple[FSet, str]]) -> FSet:
     """Fold sumset over (set, sign) terms: {sum of eps_i * a_i}."""
     if not terms:
         raise EmptyOperand("signed_combination requires at least one term")
@@ -249,18 +249,18 @@ def signed_combination(terms: Sequence[tuple[FSet, str]], method: str = "bitmask
     _require_nonempty(first)
     acc = negate(first) if first_sign == MINUS else first
     for s, sign in terms[1:]:
-        acc = sumset(acc, s, sign, method=method)
+        acc = sumset(acc, s, sign)
     return acc
 
 
-def pattern_combination(A: FSet, pattern: str, method: str = "bitmask") -> FSet:
+def pattern_combination(A: FSet, pattern: str) -> FSet:
     """signed_combination of one set against a sign string like '++--'."""
     signs = {"+": PLUS, "-": MINUS}
     try:
         terms = [(A, signs[c]) for c in pattern]
     except KeyError:
         raise ValueError(f"bad sign pattern {pattern!r}") from None
-    return signed_combination(terms, method=method)
+    return signed_combination(terms)
 
 
 def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:

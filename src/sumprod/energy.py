@@ -108,36 +108,28 @@ def _mult_convolution(Y: FSet, Z: FSet) -> int:
     return total
 
 
-def additive_energy(Y: FSet, Z: FSet, method: str = "convolution") -> EnergyReport:
-    """E+(Y,Z) = sum over (x,y) in Y^2 of |(x+Z) cap (y+Z)|, exactly."""
+def _energy(kind: str, Y: FSet, Z: FSet, method: str, naive, convolution, op) -> EnergyReport:
+    """The report of one energy: `naive` or `convolution` value, `op` for the floor."""
     _require_same_field(Y, Z)
     _require_nonempty(Y, Z)
     if method == "naive":
-        value = _additive_naive(Y, Z)
+        value = naive(Y, Z)
     elif method == "convolution":
-        value = _additive_convolution(Y, Z)
+        value = convolution(Y, Z)
     else:
         raise ValueError(f"bad method {method!r}")
-    op = sumset(Y, Z)
-    return EnergyReport(
-        ADDITIVE, value, Y.card**2 * Z.card**2, op.card, Y.card, Z.card, op.card
-    )
+    op_card = op(Y, Z).card
+    return EnergyReport(kind, value, Y.card**2 * Z.card**2, op_card, Y.card, Z.card, op_card)
+
+
+def additive_energy(Y: FSet, Z: FSet, method: str = "convolution") -> EnergyReport:
+    """E+(Y,Z) = sum over (x,y) in Y^2 of |(x+Z) cap (y+Z)|, exactly."""
+    return _energy(ADDITIVE, Y, Z, method, _additive_naive, _additive_convolution, sumset)
 
 
 def multiplicative_energy(Y: FSet, Z: FSet, method: str = "convolution") -> EnergyReport:
     """Ex(Y,Z) = sum over (x,y) in Y^2 of |xZ cap yZ|, exactly (0*Z = {0})."""
-    _require_same_field(Y, Z)
-    _require_nonempty(Y, Z)
-    if method == "naive":
-        value = _mult_naive(Y, Z)
-    elif method == "convolution":
-        value = _mult_convolution(Y, Z)
-    else:
-        raise ValueError(f"bad method {method!r}")
-    op = product_set(Y, Z)
-    return EnergyReport(
-        MULTIPLICATIVE, value, Y.card**2 * Z.card**2, op.card, Y.card, Z.card, op.card
-    )
+    return _energy(MULTIPLICATIVE, Y, Z, method, _mult_naive, _mult_convolution, product_set)
 
 
 def energy(Y: FSet, Z: FSet, kind: str, method: str = "convolution") -> EnergyReport:

@@ -23,9 +23,15 @@ from .core import FSet, dilate, make_field, product_set, ratio_set, sumset
 from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted
 
 CLASS_GUARD = 10**8
+# worker processes per CPU that exhaustive_extremal accepts.  The fork start
+# method launches every worker of a pool at its first submit, and more
+# processes buy no speed, so SPW_GUARD_OVERRIDE does not lift this guard.
+WORKERS_PER_CPU = 4
 CHECKPOINT_EVERY = 10**6
 # 2: the cursor counts the candidates of _class_reps, not all n-subsets
 CHECKPOINT_VERSION = 2
+ANNEAL_T0 = 2.0
+ANNEAL_COOLING = 0.995
 
 
 def objective(A: FSet) -> int:
@@ -180,6 +186,11 @@ def exhaustive_extremal(
         raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
     if workers < 1 or checkpoint_every < 1:
         raise BadParameters("workers and checkpoint_every must be >= 1")
+    max_workers = WORKERS_PER_CPU * (os.cpu_count() or 1)
+    if workers > max_workers:
+        raise GuardExceeded(
+            f"{workers} workers exceed the guard of {max_workers} ({WORKERS_PER_CPU} per CPU)"
+        )
     field = make_field(p)
     _class_count_guard(p, n)
     total = math.comb(p - 1, n - 1) + (n == 1)
@@ -208,20 +219,14 @@ def exhaustive_extremal(
     )
 
 
-def anneal_extremal(
-    p: int,
-    n: int,
-    seed: int = 0,
-    iters: int = 10_000,
-    t0: float = 2.0,
-    cooling: float = 0.995,
-) -> SearchRecord:
+def anneal_extremal(p: int, n: int, seed: int = 0, iters: int = 10_000) -> SearchRecord:
     """Seed-deterministic simulated annealing over n-subsets of F_p.
 
     Starts from the progression {1..n}; a move swaps one element in/out;
-    Metropolis acceptance on the objective difference with geometric
-    cooling.  iters counts objective evaluations, so iters=1 reports the
-    initial set unchanged.
+    Metropolis acceptance on the objective difference at a temperature
+    that starts at ANNEAL_T0 and is multiplied by ANNEAL_COOLING after
+    each move.  iters counts objective evaluations, so iters=1 reports
+    the initial set unchanged.
     """
     if n < 1 or n > p - 1:
         raise BadParameters(f"need 1 <= n <= p-1, got n={n}, p={p}")
@@ -232,7 +237,7 @@ def anneal_extremal(
     current = set(range(1, n + 1))
     cur_val = objective(field.fset(current))
     best_val, best_set = cur_val, current
-    temp = t0
+    temp = ANNEAL_T0
     for _ in range(iters - 1):
         members = sorted(current)
         drop = rng.choice(members)
@@ -249,7 +254,7 @@ def anneal_extremal(
             current, cur_val = proposal, val
             if val < best_val:
                 best_val, best_set = val, current
-        temp *= cooling
+        temp *= ANNEAL_COOLING
     return SearchRecord(
         p, n, best_val, (canonical_form(field.fset(best_set)),), "anneal", seed, iters
     )

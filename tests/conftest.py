@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sumprod import search
 from sumprod.chains import _p51
 from sumprod.core import make_field
 
@@ -42,6 +43,33 @@ def suite_instances(count=1000, seed=SUITE_SEED):
 def _cold_p51_memo():
     """Every test starts with an empty P51 memo, so none passes by test order."""
     _p51.cache_clear()
+
+
+@pytest.fixture
+def one_cpu_pools(monkeypatch):
+    """A 1-CPU host whose process pools are fakes: returns the max_workers asked for.
+
+    The fake maps in this process, so a test of the worker guard never
+    starts processes, even when the guard is missing.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    return sizes
 
 
 _CRITERION_LINES: list[str] = []

@@ -195,6 +195,15 @@ def test_dilation_invariance_of_reports():
         assert (b1.final_num, b1.final_den) == (b2.final_num, b2.final_den)
 
 
+def test_reports_share_pigeonhole_step_names():
+    # a sweep keeps every report, so a name string built per call costs memory
+    A, B = F13.fset([1, 2, 5]), F13.fset([1, 3, 4, 9])
+    for make in (chain_large, lambda X: chain_balanced(X, X), lambda X: chain_unbalanced(X, X, "T14")):
+        n1, n2 = ([s.name for s in make(X).steps if "pigeonhole" in s.name] for X in (A, B))
+        assert n1 and n1 == n2
+        assert all(a is b for a, b in zip(n1, n2))
+
+
 MEMO_PAIRS = [
     (F13.fset([1, 2, 3, 5, 8]), F13.fset([1, 3, 9])),
     (F13.fset([1, 3, 9]), F13.fset([1, 2, 3, 5, 8])),

@@ -24,6 +24,14 @@ GOLDEN_CASES = {
     "chain_t11.json": ["chain", "--theorem", "1.1", "--p", "7", "--a", "1,2,3", "--sign", "plus"],
     "chain_prop51.json": ["chain", "--theorem", "prop51", "--p", "7", "--a", "1,2,3", "--b", "1,2"],
     "chain_t11.csv": ["chain", "--theorem", "1.1", "--p", "7", "--a", "1,2,3", "--format", "csv"],
+    "chain_t12_spade.json": ["chain", "--theorem", "1.2", "--p", "11", "--a", "1,2,3,5,8"],
+    "chain_t12_club.json": ["chain", "--theorem", "1.2", "--p", "11", "--a", "1,2,3,4,5,6,7,8,9,10"],
+    "chain_t13.json": ["chain", "--theorem", "1.3", "--p", "11", "--a", "1,3,4,5,9", "--b", "2,6,7"],
+    "chain_t14_spade.json": ["chain", "--theorem", "1.4", "--p", "11", "--a", "1,2,3,4", "--b", "1,2"],
+    "chain_t14_club.json": ["chain", "--theorem", "1.4", "--p", "11", "--a", "1,3,4,5,9", "--b", "2,6,7"],
+    "chain_t15.json": ["chain", "--theorem", "1.5", "--p", "11", "--a", "1,2,3,4,5,6,7,8,9,10",
+                       "--b", "1,2,3"],
+    "chain_remark.json": ["chain", "--theorem", "remark", "--p", "11", "--a", "1,2,3,5,8"],
     "extremal.json": ["extremal", "--p", "7", "--n", "2", "--threads", "1"],
     "scan_ratio.json": ["scan-ratio", "--p", "7"],
 }
@@ -34,6 +42,19 @@ def test_golden(name, capsys):
     assert run(GOLDEN_CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "golden" / name).read_text()
+
+
+@pytest.mark.parametrize("name, case", [
+    ("chain_t12_spade.json", "spade"), ("chain_t12_club.json", "club"),
+    ("chain_t14_spade.json", "spade"), ("chain_t14_club.json", "club"),
+])
+def test_golden_covers_both_cases(name, case):
+    assert json.loads((DATA / "golden" / name).read_text())["case"] == case
+
+
+def test_golden_t15_warns_on_unequal_sizes():
+    warnings = json.loads((DATA / "golden" / "chain_t15.json").read_text())["warnings"]
+    assert warnings == ["|A| and |B| differ by more than a factor of 2"]
 
 
 class TestParseSet:
@@ -141,6 +162,13 @@ class TestFormats:
         assert payload["ratio_k"] == {"num": 7, "den": 2}
 
 
+def test_thread_guard_is_three(one_cpu_pools, capsys):
+    assert run(["extremal", "--p", "11", "--n", "3", "--threads", "100000"]) == 3
+    assert capsys.readouterr().err.startswith("guard exceeded: 100000 workers")
+    assert run(["extremal", "--p", "11", "--n", "3"]) == 0  # default: the CPU count
+    assert one_cpu_pools == []
+
+
 def test_byte_identical_repeat(capsys):
     argv = ["chain", "--theorem", "1.4", "--p", "11", "--a", "1,2,3,4", "--b", "1,2"]
     assert run(argv) == 0
@@ -210,4 +238,17 @@ def test_field_size_guard_is_three(monkeypatch):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("guard exceeded: p=1000000007")
+    assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("spec", ["ap:0,1,100000000000", "gp:1,2,100000000000"])
+def test_huge_progression_length(spec):
+    # a progression mod p repeats within p terms, so only p are generated;
+    # run capped and timed in a child, never in this process
+    argv = ["set", "--p", "13", "--a", spec, "--b", "0", "--op", "sum"]
+    start = time.monotonic()
+    proc = _python("-m", "sumprod.cli", *argv, preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = list(range(13)) if spec.startswith("ap") else [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    assert json.loads(proc.stdout)["elements"] == want
     assert time.monotonic() - start < 10.0

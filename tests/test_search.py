@@ -147,6 +147,19 @@ class TestExhaustive:
         with pytest.raises(BadParameters):
             exhaustive_extremal(11, 3, checkpoint_path=str(ck))
 
+    def test_worker_guard_on_one_cpu(self, one_cpu_pools):
+        serial = exhaustive_extremal(11, 3)
+        for workers in (2, 3, 4):
+            assert exhaustive_extremal(11, 3, workers=workers) == serial
+        assert one_cpu_pools == [2, 3, 4]
+
+    def test_worker_guard_refuses_before_any_pool(self, one_cpu_pools, monkeypatch):
+        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")  # this guard is not liftable
+        for workers in (5, 10**6):
+            with pytest.raises(GuardExceeded, match="workers exceed"):
+                exhaustive_extremal(11, 3, workers=workers)
+        assert one_cpu_pools == []
+
     def test_parallel_matches_serial(self):
         serial = exhaustive_extremal(11, 4)
         parallel = exhaustive_extremal(11, 4, workers=3)
