@@ -23,6 +23,7 @@ from .core import (
     FSet,
     _require_nonempty,
     _require_same_field,
+    _scaled_mask,
     negate,
     pattern_combination,
     product_set,
@@ -31,9 +32,10 @@ from .core import (
     signed_combination,
     sumset,
 )
-from .energy import _mult_mask, multiplicative_energy
+from .energy import multiplicative_energy
 from .lemmas import (
     BucketDecomposition,
+    _first_quadruple,
     chang_decompose,
     greedy_cover,
     gk_witness,
@@ -71,13 +73,15 @@ class ChainStep:
         return Fraction(self.lhs_num * self.rhs_den, self.lhs_den * self.rhs_num)
 
 
+# Both constructors intern the step name: a sweep keeps every report, and a
+# name built by an f-string would otherwise be a fresh copy in each one.
 def exact_step(name: str, lhs: int, rhs: int, lhs_den: int = 1, rhs_den: int = 1) -> ChainStep:
     ok = lhs * rhs_den <= rhs * lhs_den
-    return ChainStep(name, lhs, lhs_den, rhs, rhs_den, EXACT, ok)
+    return ChainStep(sys.intern(name), lhs, lhs_den, rhs, rhs_den, EXACT, ok)
 
 
 def diag_step(name: str, lhs: int, rhs: int, lhs_den: int = 1, rhs_den: int = 1) -> ChainStep:
-    return ChainStep(name, lhs, lhs_den, rhs, rhs_den, DIAGNOSTIC, None)
+    return ChainStep(sys.intern(name), lhs, lhs_den, rhs, rhs_den, DIAGNOSTIC, None)
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,7 @@ def _inputs(A: FSet, B: FSet | None = None) -> dict:
 def _case(d: BucketDecomposition, bucket: str, steps: list[ChainStep]) -> str:
     """The j0 pigeonhole step, then T12/T14's split: club iff |X_j0|^2 > p and R(X_j0) = F_p."""
     j0, cert = select_j0(d)
-    # interned, as a literal name would be: a sweep keeps every report
-    name = sys.intern(f"j0 pigeonhole: s_sum <= 2*J*2^j0*|{bucket}_j0|")
+    name = f"j0 pigeonhole: s_sum <= 2*J*2^j0*|{bucket}_j0|"
     steps.append(exact_step(name, d.s_sum, 2 * len(d.buckets) * cert))
     X = d.buckets[j0]
     p = X.field.p
@@ -201,8 +204,7 @@ def _pair_front(
     steps.append(exact_step("zero removal: |B| <= 2|B*|", B.card, 2 * Bs.card))
     d = chang_decompose(As, Bs)
     abp = product_set(As, Bs)
-    name = sys.intern(f"{pivot} pigeonhole: Ex(A*,B*) <= s_sum*|A*|")  # as in _case
-    steps.append(exact_step(name, d.energy, d.s_sum * As.card))
+    steps.append(exact_step(f"{pivot} pigeonhole: Ex(A*,B*) <= s_sum*|A*|", d.energy, d.s_sum * As.card))
     steps.append(
         exact_step(
             "energy floor: |A*|^2|B*|^2 <= Ex(A*,B*)*|A*B*|",
@@ -274,22 +276,6 @@ def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
     )
 
 
-def _xi_quadruple(Aj: FSet, xi: int) -> tuple[int, int, int, int]:
-    """Lexicographically first (a,b,c,d) in Aj with a != b and d-c = xi(b-a)."""
-    p = Aj.field.p
-    els = sorted(Aj)
-    for a in els:
-        for b in els:
-            if a == b:
-                continue
-            target = xi * (b - a) % p
-            for c in els:
-                d = (c + target) % p
-                if d in Aj:
-                    return (a, b, c, d)
-    raise ValueError("ratio set is not full; no xi quadruple exists")
-
-
 def _bucket_construction(
     A: FSet, B: FSet, a0: int, j: int, Aj: FSet, steps: list[ChainStep]
 ) -> None:
@@ -325,14 +311,14 @@ def _bucket_construction(
         return
     if ratio_full:
         xi, _ = xi_search(Aj)
-        a, b, c, d = _xi_quadruple(Aj, xi)
+        a, b, c, d = _first_quadruple(Aj, Aj.field.fset([xi]))
     else:
-        a, b, c, d = gk_witness(Aj, "plus_plus", [Aj]).quadruple
+        a, b, c, d = gk_witness(Aj).quadruple
     counts = []
     covered_masks = []
     quad_signed = [(-a) % p, b, (-c) % p, d]
     for x, u in zip((a, b, c, d), quad_signed):
-        S = A.field.fset_from_mask(_mult_mask(x, B) & _mult_mask(a0, B))
+        S = A.field.fset_from_mask(_scaled_mask(x, B) & _scaled_mask(a0, B))
         target = scale(Aj, u)
         cover = greedy_cover(target, S, MINUS)
         counts.append(len(cover.translates))

@@ -308,6 +308,17 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
     return field.fset_from_mask(mask)
 
 
+def _scaled_mask(u: int, A: FSet) -> int:
+    """Membership mask of u*A with the convention 0*A = {0}."""
+    p = A.field.p
+    if u % p == 0:
+        return 1
+    mask = 0
+    for a in A:
+        mask |= 1 << (u * a % p)
+    return mask
+
+
 def dilate(A: FSet, u: int) -> FSet:
     """u*A for u != 0; a bijection, so the cardinality is preserved."""
     field = A.field
@@ -316,7 +327,7 @@ def dilate(A: FSet, u: int) -> FSet:
         raise ZeroDilation("dilation factor must be nonzero")
     if u == 1:
         return A
-    return field.fset(u * a % field.p for a in A)
+    return FSet(field, _scaled_mask(u, A), A.card)
 
 
 def scale(A: FSet, u: int) -> FSet:

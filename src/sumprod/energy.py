@@ -16,6 +16,7 @@ from .core import (
     _require_nonempty,
     _require_same_field,
     _rotate,
+    _scaled_mask,
     pair_counts,
     product_set,
     rep_fn,
@@ -43,17 +44,6 @@ class EnergyReport:
         return self.value * self.floor_den >= self.floor_num
 
 
-def _mult_mask(x: int, Z: FSet) -> int:
-    """Membership mask of x*Z with the convention 0*Z = {0}."""
-    field = Z.field
-    if x % field.p == 0:
-        return 1
-    mask = 0
-    for z in Z:
-        mask |= 1 << (x * z % field.p)
-    return mask
-
-
 def intersection_count(x: int, y: int, Z: FSet, kind: str) -> int:
     """|(x+Z) cap (y+Z)| or |xZ cap yZ| (0*Z = {0} for the latter)."""
     _require_nonempty(Z)
@@ -65,7 +55,7 @@ def intersection_count(x: int, y: int, Z: FSet, kind: str) -> int:
         full = field.full_mask
         return (_rotate(Z.mask, x, p, full) & _rotate(Z.mask, y, p, full)).bit_count()
     if kind == MULTIPLICATIVE:
-        return (_mult_mask(x, Z) & _mult_mask(y, Z)).bit_count()
+        return (_scaled_mask(x, Z) & _scaled_mask(y, Z)).bit_count()
     raise ValueError(f"bad kind {kind!r}")
 
 
@@ -83,7 +73,7 @@ def _additive_convolution(Y: FSet, Z: FSet) -> int:
 
 
 def _mult_naive(Y: FSet, Z: FSet) -> int:
-    masks = [_mult_mask(y, Z) for y in Y]
+    masks = [_scaled_mask(y, Z) for y in Y]
     return sum((m1 & m2).bit_count() for m1 in masks for m2 in masks)
 
 

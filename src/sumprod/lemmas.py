@@ -20,13 +20,14 @@ from .core import (
     _require_nonempty,
     _require_same_field,
     _rotate,
+    _scaled_mask,
     negate,
     pair_counts,
+    ratio_set,
     rep_fn,
     scale,
     sumset,
 )
-from .energy import _mult_mask
 from .errors import (
     BadEpsilon,
     BadParameters,
@@ -37,7 +38,6 @@ from .errors import (
     _check_guard,
     check,
 )
-from .core import ratio_set
 
 LN100 = math.log(100.0)
 
@@ -164,51 +164,47 @@ class GkWitness:
     target_den: int
 
 
-def gk_witness(
-    A1: FSet, variant: str = "plus_plus", probes: Sequence[FSet] | None = None
-) -> GkWitness:
+def _first_quadruple(A: FSet, ts: FSet) -> tuple[int, int, int, int]:
+    """Lexicographically first (a,b,c,d) over sorted(A), a != b, with (d-c)/(b-a) in ts.
+
+    For each (a, b) the candidate d's of every c are the rotation by c of
+    (b-a)*ts, intersected with A; the lowest hit is the first d.
+    """
+    p, full = A.field.p, A.field.full_mask
+    els = sorted(A)
+    for a in els:
+        for b in els:
+            if a == b:
+                continue
+            D = _scaled_mask(b - a, ts)
+            for c in els:
+                hit = _rotate(D, c, p, full) & A.mask
+                if hit:
+                    return a, b, c, (hit & -hit).bit_length() - 1
+    raise ValueError("no quadruple of A has its ratio in ts")
+
+
+def gk_witness(A1: FSet, variant: str = "plus_plus") -> GkWitness:
     """Exhaustive search for the best quadruple (a,b,c,d), a != b.
 
-    Maximizes the minimum over probes of |(b-a)P +/- (b-a)P + (d-c)P|;
-    ties break toward the lexicographically smallest quadruple.  Dilation
-    by b-a != 0 is a bijection, so that size is |P +/- P + tP| with
-    t = (d-c)/(b-a) in the ratio set of A1: each t is scored once.
+    Maximizes |(b-a)A1 +/- (b-a)A1 + (d-c)A1|; ties break toward the
+    lexicographically smallest quadruple.  Dilation by b-a != 0 is a
+    bijection, so that size is |A1 +/- A1 + t*A1| with t = (d-c)/(b-a) in
+    the ratio set of A1: each t is scored once, and the first quadruple
+    whose t reaches the maximum wins.
     """
     if A1.card < 2:
         raise TooSmall("gk_witness needs |A1| >= 2")
     if variant not in ("plus_plus", "plus_minus"):
         raise ValueError(f"bad variant {variant!r}")
-    if ratio_set(A1).card == A1.field.p:
+    ratios = ratio_set(A1)
+    if ratios.card == A1.field.p:
         raise RatioSetFull("ratio set equals F_p; use xi_search instead")
-    if probes is None:
-        probes = [A1]
-    for P in probes:
-        if P.mask & ~A1.mask:
-            raise ValueError("probes must be subsets of A1")
-        _require_nonempty(P)
-    p = A1.field.p
-    sign = PLUS if variant == "plus_plus" else MINUS
-    inner = [(P, sumset(P, P, sign)) for P in probes]
-    els = sorted(A1)
-    cache: dict[int, int] = {}
-    best_score = -1
-    best_quad = (0, 0, 0, 0)
-    for a in els:
-        for b in els:
-            if a == b:
-                continue
-            inv_d1 = A1.field.inv(b - a)
-            for c in els:
-                for d in els:
-                    t = (d - c) * inv_d1 % p
-                    score = cache.get(t)
-                    if score is None:
-                        score = min(sumset(PP, scale(P, t)).card for P, PP in inner)
-                        cache[t] = score
-                    if score > best_score:
-                        best_score = score
-                        best_quad = (a, b, c, d)
-    return GkWitness(best_quad, variant, best_score, A1.card**2, 1)
+    inner = sumset(A1, A1, PLUS if variant == "plus_plus" else MINUS)
+    scores = {t: sumset(inner, scale(A1, t)).card for t in ratios}
+    best = max(scores.values())
+    best_ts = A1.field.fset(t for t, score in scores.items() if score == best)
+    return GkWitness(_first_quadruple(A1, best_ts), variant, best, A1.card**2, 1)
 
 
 def xi_search(A1: FSet) -> tuple[int, int]:
@@ -271,7 +267,7 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     """
     field = _require_same_field(Y, Z)
     _require_nonempty(Y, Z)
-    masks = {y: _mult_mask(y, Z) for y in Y}
+    masks = {y: _scaled_mask(y, Z) for y in Y}
     pivot, s_sum, e_val = -1, -1, 0
     for y0 in sorted(Y):
         row = sum((masks[y0] & masks[y]).bit_count() for y in Y)

@@ -1,5 +1,6 @@
 """Shared sweep computations for the acceptance gate and regression freezing."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,14 +34,18 @@ def _final_key(report, sign=None):
 def chain_sweep():
     """Exhaustive |A| <= 5 sweep of every chain verifier the CLI exposes.
 
-    Returns (violations, floors) where violations lists every failed exact
-    step and floors maps report keys to the minimum observed final ratio
-    (exact Fraction; squared finals are tracked under separate keys).
+    Returns (violations, floors, digest) where violations lists every
+    failed exact step, floors maps report keys to the minimum observed
+    final ratio (exact Fraction; squared finals are tracked under separate
+    keys) and digest is the SHA-256 hex digest of repr() of every report,
+    in sweep order, so any change to any report byte shows.
     """
     violations = []
     floors: dict[str, Fraction] = {}
+    digest = hashlib.sha256()
 
     def note(report, sign=None):
+        digest.update(repr(report).encode())
         for s in report.steps:
             if s.kind == EXACT and not s.passed:
                 violations.append((report.theorem, report.inputs, s.name))
@@ -62,7 +67,7 @@ def chain_sweep():
                 note(chain_unbalanced(A, A, "T14"))
                 note(chain_balanced(A, A))
                 note(energy_bound_audit(A))
-    return violations, floors
+    return violations, floors, digest.hexdigest()
 
 
 def chang_min_ratio(instances):

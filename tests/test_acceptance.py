@@ -155,8 +155,9 @@ def test_criterion_6_plunnecke():
 def test_criterion_7_chain_verifiers():
     with _criterion(7, "chain verifiers exhaustive |A| <= 5: exact steps + ratio floors, < 10 min"):
         start = time.perf_counter()
-        violations, floors = chain_sweep()
+        violations, floors, digest = chain_sweep()
         assert violations == []
+        assert digest == FLOORS["chain_report_digest"]
         memo = _p51.cache_info()
         assert memo.currsize <= memo.maxsize
         frozen = FLOORS["chain_final_floors"]

@@ -107,7 +107,7 @@ class TestKatzShen:
 
 class TestGkWitness:
     def test_worked_example(self):
-        w = gk_witness(F7.fset([1, 2]), "plus_plus", [F7.fset([1, 2])])
+        w = gk_witness(F7.fset([1, 2]), "plus_plus")
         assert w.expr_card == 4
         assert w.expr_card >= w.target_num
         a, b, _, _ = w.quadruple
@@ -120,10 +120,6 @@ class TestGkWitness:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             gk_witness(F7.fset([1]))
-
-    def test_probe_validation(self):
-        with pytest.raises(ValueError):
-            gk_witness(F7.fset([1, 2]), "plus_plus", [F7.fset([3])])
 
 
 class TestXiSearch:

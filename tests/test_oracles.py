@@ -2,13 +2,15 @@
 
 The oracles are the scans the fast paths replaced: greedy_cover scanned all
 p translates at every step, xi_search scanned every xi against every
-difference, and ratio_set divided every difference by every nonzero one.
+difference, ratio_set divided every difference by every nonzero one,
+gk_witness scored every (b-a, d-c) pair, and the chains' xi route looked
+for its quadruple with a scan of its own.
 """
 
 import random
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
@@ -17,6 +19,7 @@ from sumprod.core import (
     MINUS,
     PLUS,
     _rotate,
+    dilate,
     make_field,
     negate,
     product_set,
@@ -194,7 +197,7 @@ def test_product_set_matches_naive(A, nb, rng):
     assert product_set(A, B) == product_set(A, B, method="naive")
 
 
-def gk_witness_pairs(A1, variant, probes):
+def gk_witness_pairs(A1, variant):
     """The lex-first quadruple scan scoring each (b-a, d-c) pair on its own."""
     p = A1.field.p
     sign = PLUS if variant == "plus_plus" else MINUS
@@ -210,10 +213,8 @@ def gk_witness_pairs(A1, variant, probes):
                 for d in els:
                     key = (d1, (d - c) % p)
                     if key not in cache:
-                        cache[key] = min(
-                            sumset(sumset(scale(P, d1), scale(P, d1), sign), scale(P, key[1])).card
-                            for P in probes
-                        )
+                        d1A = scale(A1, d1)
+                        cache[key] = sumset(sumset(d1A, d1A, sign), scale(A1, key[1])).card
                     if cache[key] > best_score:
                         best_score, best_quad = cache[key], (a, b, c, d)
     return GkWitness(best_quad, variant, best_score, A1.card**2, 1)
@@ -221,7 +222,7 @@ def gk_witness_pairs(A1, variant, probes):
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17])
 def test_gk_witness_matches_pair_scan(p):
-    # every set with a proper ratio set, probed by itself and by two proper subsets
+    # every set with a proper ratio set
     field = make_field(p)
     checked = 0
     for n in range(2, 6):
@@ -229,12 +230,37 @@ def test_gk_witness_matches_pair_scan(p):
             A = field.fset(combo)
             if ratio_set(A).card == p:
                 continue
-            subsets = [field.fset(combo[1:]), field.fset(combo[:-1])]
             for variant in ("plus_plus", "plus_minus"):
-                for probes in ([A], subsets):
-                    assert gk_witness(A, variant, probes) == gk_witness_pairs(A, variant, probes)
+                assert gk_witness(A, variant) == gk_witness_pairs(A, variant)
             checked += 1
     assert checked > 0
+
+
+def xi_quadruple_scan(A, xi):
+    """Lexicographically first (a,b,c,d) in A with a != b and d-c = xi(b-a)."""
+    p = A.field.p
+    els = sorted(A)
+    for a in els:
+        for b in els:
+            if a == b:
+                continue
+            target = xi * (b - a) % p
+            for c in els:
+                d = (c + target) % p
+                if d in A:
+                    return (a, b, c, d)
+    raise ValueError("xi is not a ratio of A")
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_first_quadruple_matches_xi_scan(p):
+    # every ratio t that each set realizes, 0 included
+    field = make_field(p)
+    for n in range(2, 6):
+        for combo in combinations(range(p), n):
+            A = field.fset(combo)
+            for t in ratio_set(A):
+                assert lemmas._first_quadruple(A, field.fset([t])) == xi_quadruple_scan(A, t)
 
 
 @st.composite
@@ -290,3 +316,30 @@ def test_rep_fn_matches_loop_at_large_p(ab):
                 want[op(a, b) % p] += 1
         r = rep_fn(A, B, sign)
         assert list(r.counts) == want and r.total == A.card * B.card
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair(), st.randoms(use_true_random=False))
+def test_first_quadruple_matches_xi_scan_at_large_p(ab, rng):
+    # t is the ratio of a random quadruple, so it is realized
+    A, _ = ab
+    assume(A.card >= 2)
+    els = sorted(A)
+    a, b = rng.sample(els, 2)
+    c, d = rng.choice(els), rng.choice(els)
+    p = A.field.p
+    t = (d - c) * pow(b - a, -1, p) % p
+    assert lemmas._first_quadruple(A, A.field.fset([t])) == xi_quadruple_scan(A, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair(), st.data())
+def test_dilate_matches_naive_at_large_p(ab, data):
+    # dilate trusts A.card, since u != 0 maps F_p onto itself one to one
+    A, _ = ab
+    p = A.field.p
+    u = data.draw(st.integers(1, p - 1))
+    want = {u * a % p for a in A}
+    uA = dilate(A, u)
+    assert uA == A.field.fset(want) and uA.card == len(want)
+    assert scale(A, 0) == A.field.fset([0])
