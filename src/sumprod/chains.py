@@ -34,8 +34,10 @@ from .core import (
 )
 from .energy import multiplicative_energy
 from .lemmas import (
+    KATZ_SHEN_MAX_BASE,
     BucketDecomposition,
     _first_quadruple,
+    bucket_index,
     chang_decompose,
     greedy_cover,
     gk_witness,
@@ -50,12 +52,6 @@ DIAGNOSTIC = "diagnostic"
 
 # retained fraction per subset extraction; two applications keep >= 1/2
 EXTRACTION_KEEP = math.sqrt(2.0) / 2.0
-EXHAUSTIVE_EXTRACTION_LIMIT = 14
-
-
-def _dyadic_log(n: int) -> int:
-    """ceil(log2 n), floored at 1 so diagnostic ratios stay positive."""
-    return max(1, (n - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def extract_half_subset(A: FSet, sign: str) -> tuple[FSet, str]:
     minimizing |X + A + A| (labeled heuristic).
     """
     sA = _signed(A, sign)
-    if A.card <= EXHAUSTIVE_EXTRACTION_LIMIT:
+    if A.card <= KATZ_SHEN_MAX_BASE:
         eps = 1.0 - EXTRACTION_KEEP
         X1, _ = katz_shen_subset(A, [sA, sA, sA], eps)
         Z, _ = katz_shen_subset(X1, [sA, sA, sA], eps)
@@ -149,7 +145,7 @@ def extract_half_subset(A: FSet, sign: str) -> tuple[FSet, str]:
     return X, "heuristic"
 
 
-def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, FSet, FSet, BucketDecomposition]:
+def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, BucketDecomposition]:
     """Shared Z-extraction and decomposition used by the small/large chains."""
     Z, label = extract_half_subset(A, sign)
     steps.append(exact_step(f"subset extraction ({label}): |A| <= 2|Z|", A.card, 2 * Z.card))
@@ -171,7 +167,7 @@ def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, FSet, 
     steps.append(
         diag_step("bucket bound: max 16^j|Z_j|^3 vs |ZsZ|^5 |ZsZsZsZ|", d.lhs, zsz.card**5 * z4s.card)
     )
-    return Zs, z4, asa, d
+    return asa, d
 
 
 def _inputs(A: FSet, B: FSet | None = None) -> dict:
@@ -223,7 +219,7 @@ def chain_small(A: FSet, sign: str = PLUS) -> ChainReport:
     if A.card**2 > p:
         warnings.append("|A|^2 > p: small-set hypothesis not met")
     steps: list[ChainStep] = []
-    Z, _, asa, d = _front_end(A, sign, steps)
+    asa, d = _front_end(A, sign, steps)
     aa = product_set(A, A)
     steps.append(
         diag_step("bucket target: max 16^j|Z_j|^3 vs |A|^11/|AA|^4", d.lhs * aa.card**4, A.card**11)
@@ -250,7 +246,7 @@ def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
     if A.card**2 < p:
         warnings.append("|A|^2 < p: large-set hypothesis not met")
     steps: list[ChainStep] = []
-    Z, _, asa, d = _front_end(A, sign, steps)
+    asa, d = _front_end(A, sign, steps)
     case = _case(d, "Z", steps)
     aa = product_set(A, A)
     spade_lhs = (asa.card**8 * aa.card**4) ** 2 * p
@@ -277,26 +273,25 @@ def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
 
 
 def _bucket_construction(
-    A: FSet, B: FSet, a0: int, j: int, Aj: FSet, steps: list[ChainStep]
+    A: FSet, B: FSet, j: int, Aj: FSet, sizes: tuple[int, int, int], a0B: int, steps: list[ChainStep]
 ) -> None:
-    """The covering construction of one bucket: covers, retention, product bound."""
+    """The covering construction of one bucket: covers, retention, product bound.
+
+    sizes = (|A+A|, |A+B|, |4B|) and a0B, the mask of a0*B for the pivot a0,
+    are the same for every bucket, so the audit computes them once.
+    """
     p = A.field.p
     tag = f"bucket j={j}"
-    ab = sumset(A, B)
-    b4 = pattern_combination(B, "++++")
+    aa, ab, b4 = sizes
     steps.append(
-        diag_step(
-            f"{tag} ceiling: 16^j|A_j|^3 vs |A+A||A+B|^4|4B|",
-            16**j * Aj.card**3,
-            sumset(A, A).card * ab.card**4 * b4.card,
-        )
+        diag_step(f"{tag} ceiling: 16^j|A_j|^3 vs |A+A||A+B|^4|4B|", 16**j * Aj.card**3, aa * ab**4 * b4)
     )
     ratio_full = Aj.card >= 2 and ratio_set(Aj).card == p
     steps.append(
         diag_step(
             f"{tag} (a/c): 16^j|A_j|^3 vs |A+B|^10/(|A|^3|B|)",
             16**j * Aj.card**3 * A.card**3 * B.card,
-            ab.card**10,
+            ab**10,
         )
     )
     if ratio_full:
@@ -304,7 +299,7 @@ def _bucket_construction(
             diag_step(
                 f"{tag} (b): 16^j min(|A_j|^2, p) vs |A+B|^8/|A|^3",
                 16**j * min(Aj.card**2, p) * A.card**3,
-                ab.card**8,
+                ab**8,
             )
         )
     if Aj.card < 2:
@@ -318,7 +313,7 @@ def _bucket_construction(
     covered_masks = []
     quad_signed = [(-a) % p, b, (-c) % p, d]
     for x, u in zip((a, b, c, d), quad_signed):
-        S = A.field.fset_from_mask(_scaled_mask(x, B) & _scaled_mask(a0, B))
+        S = A.field.fset_from_mask(_scaled_mask(x, B) & a0B)
         target = scale(Aj, u)
         cover = greedy_cover(target, S, MINUS)
         counts.append(len(cover.translates))
@@ -331,7 +326,7 @@ def _bucket_construction(
             )
         )
         steps.append(
-            diag_step(f"{tag} translate count (x={x}) vs |A+B|/2^j", counts[-1] * 2**j, ab.card)
+            diag_step(f"{tag} translate count (x={x}) vs |A+B|/2^j", counts[-1] * 2**j, ab)
         )
     keep_mask = 0
     for t in Aj:
@@ -345,7 +340,7 @@ def _bucket_construction(
     lhs4 = signed_combination([(scale(Ap, u), PLUS) for u in quad_signed]).card
     n_prod = counts[0] * counts[1] * counts[2] * counts[3]
     steps.append(
-        exact_step(f"{tag} four-cover product: |-aA'+bA'-cA'+dA'| <= n_a n_b n_c n_d |4B|", lhs4, n_prod * b4.card)
+        exact_step(f"{tag} four-cover product: |-aA'+bA'-cA'+dA'| <= n_a n_b n_c n_d |4B|", lhs4, n_prod * b4)
     )
     Ad1, Ad2 = scale(Ap, b - a), scale(Ap, d - c)
     two_term = sumset(Ad1, Ad2)
@@ -383,14 +378,16 @@ def _p51(A: FSet, B: FSet) -> tuple[tuple[ChainStep, ...], BucketDecomposition, 
     steps.append(
         exact_step("a0 row: |A*||B*|^2 <= s_sum*|A*B*|", As.card * Bs.card**2, d.s_sum * ab_prod.card)
     )
+    ab = sumset(As, Bs).card
+    sizes = (sumset(As, As).card, ab, pattern_combination(Bs, "++++").card)
+    a0B = _scaled_mask(d.pivot, Bs)
     for j, Aj in sorted(d.nonempty.items()):
-        _bucket_construction(As, Bs, d.pivot, j, Aj, steps)
+        _bucket_construction(As, Bs, j, Aj, sizes, a0B, steps)
     pa = plunnecke_audit(A, B, 4)
     steps.append(exact_step("PR doubling: |A+A||B| <= |A+B|^2", pa.lhs_doubling, pa.rhs_doubling))
     steps.append(exact_step("PR iterated: |4B||A|^3 <= |A+B|^4", pa.lhs_iterated, pa.rhs_iterated))
-    ab = sumset(As, Bs)
     final_num = d.lhs * As.card**3 * Bs.card
-    final_den = ab.card**10
+    final_den = ab**10
     steps.append(
         diag_step("final (a): max 16^j|A_j|^3 vs |A+B|^10/(|A|^3|B|)", final_num, final_den)
     )
@@ -420,8 +417,8 @@ def chain_unbalanced(A: FSet, B: FSet, theorem: str = "T13") -> ChainReport:
     case = _case(d, "A", steps)
     ab = sumset(A, B).card
     abp = product_set(A, B).card
-    lg_b = _dyadic_log(B.card)
-    lg_a = _dyadic_log(A.card)
+    lg_b = bucket_index(B.card)
+    lg_a = bucket_index(A.card)
     t13_num = ab**10 * abp**4 * lg_b**4
     t13_den = A.card**6 * B.card**9
     steps.append(diag_step("T1.3: |A+B|^10|AB|^4 Lg(B)^4 vs |A|^6|B|^9", t13_num, t13_den))
@@ -497,7 +494,7 @@ def energy_bound_audit(A: FSet) -> ChainReport:
     mixed = pattern_combination(A, "++--").card
     plus4 = pattern_combination(A, "++++").card
     minus4 = pattern_combination(A, "+---").card
-    lg = _dyadic_log(n)
+    lg = bucket_index(n)
     steps = [
         diag_step("log form: Ex^4 vs |A|^5|A-A|^5|A+A-A-A| Lg^4", e4, n**5 * a_minus**5 * mixed * lg**4),
         diag_step("log-free form: Ex^4 vs |A|^5|A-A|^5|A+A-A-A|", e4, n**5 * a_minus**5 * mixed),

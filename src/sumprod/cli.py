@@ -110,8 +110,6 @@ def _payload(kind: str, report) -> dict:
     elif kind == "bucket_decomposition":
         out["max_bucket_card"] = report.max_bucket_card
         out["floor_holds"] = lemmas.chang_floor_holds(report)
-    elif kind == "plunnecke_audit":
-        out["passed"] = report.passed
     elif kind == "search_record":
         out["exponent"] = jsonable(report.exponent)
     return out
@@ -182,8 +180,6 @@ def _violated(payload: dict) -> bool:
         return True
     if payload.get("floor_holds") is False:
         return True
-    if payload.get("passed") is False:
-        return True
     return False
 
 
@@ -203,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["sum", "diff", "prod", "ratio", "dilate", "pattern", "rep"])
     ps.add_argument("--u", type=int, default=None, help="dilation factor")
     ps.add_argument("--pattern", default=None, help="sign string like '++--'")
-    ps.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    ps.add_argument("--sign", choices=[PLUS, MINUS], default=PLUS)
 
     pe = sub.add_parser("energy", parents=[common])
     pe.add_argument("--y", required=True)
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--y", default=None)
     pl.add_argument("--z", default=None)
     pl.add_argument("--eps", default="1/4", help="rational like 1/4")
-    pl.add_argument("--mode", choices=["plus", "minus"], default="plus")
+    pl.add_argument("--mode", choices=[PLUS, MINUS], default=PLUS)
     pl.add_argument("--variant", choices=["plus_plus", "plus_minus"], default="plus_plus")
 
     pc = sub.add_parser("chain", parents=[common])
@@ -229,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["1.1", "1.2", "1.3", "1.4", "1.5", "prop51", "remark"])
     pc.add_argument("--a", required=True)
     pc.add_argument("--b", default=None)
-    pc.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    pc.add_argument("--sign", choices=[PLUS, MINUS], default=PLUS)
 
     px = sub.add_parser("extremal", parents=[common])
     px.add_argument("--n", type=int, required=True)
@@ -251,7 +247,6 @@ def _need(args, names: list[str]) -> None:
 
 def _run_set(args, field) -> dict:
     A = parse_set(args.a, field)
-    sign = PLUS if args.sign == "plus" else MINUS
     if args.op in ("sum", "diff", "prod", "rep"):
         _need(args, ["b"])
         B = parse_set(args.b, field)
@@ -262,7 +257,7 @@ def _run_set(args, field) -> dict:
         elif args.op == "prod":
             res = product_set(A, B)
         else:
-            r = rep_fn(A, B, sign)
+            r = rep_fn(A, B, args.sign)
             return {"type": "rep_fn", "p": field.p, "counts": list(r.counts), "total": r.total}
     elif args.op == "ratio":
         res = ratio_set(A)
@@ -279,14 +274,17 @@ def _run_set(args, field) -> dict:
 def _run_lemma(args, field) -> dict:
     if args.which == "cover":
         _need(args, ["b1", "b2"])
-        mode = PLUS if args.mode == "plus" else MINUS
-        rep = lemmas.greedy_cover(parse_set(args.b1, field), parse_set(args.b2, field), mode)
+        rep = lemmas.greedy_cover(parse_set(args.b1, field), parse_set(args.b2, field), args.mode)
         return _payload("cover_result", rep)
     if args.which == "katzshen":
         _need(args, ["b0", "bs"])
         B0 = parse_set(args.b0, field)
         Bs = [parse_set(s, field) for s in args.bs.split(";") if s]
-        X, ratio = lemmas.katz_shen_subset(B0, Bs, Fraction(args.eps))
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"cannot parse --eps {args.eps!r}: {exc}") from None
+        X, ratio = lemmas.katz_shen_subset(B0, Bs, eps)
         return {"type": "katz_shen", "p": field.p, "subset": sorted(X),
                 "subset_card": X.card, "ratio": jsonable(ratio)}
     if args.which == "gk":
@@ -304,14 +302,13 @@ def _run_lemma(args, field) -> dict:
 
 def _run_chain(args, field) -> dict:
     A = parse_set(args.a, field)
-    sign = PLUS if args.sign == "plus" else MINUS
     if args.theorem in ("1.3", "1.4", "1.5", "prop51"):
         _need(args, ["b"])
         B = parse_set(args.b, field)
     if args.theorem == "1.1":
-        rep = chains.chain_small(A, sign)
+        rep = chains.chain_small(A, args.sign)
     elif args.theorem == "1.2":
-        rep = chains.chain_large(A, sign)
+        rep = chains.chain_large(A, args.sign)
     elif args.theorem == "1.3":
         rep = chains.chain_unbalanced(A, B, "T13")
     elif args.theorem == "1.4":
@@ -366,7 +363,7 @@ def run(argv: list[str] | None = None) -> int:
     except InvariantViolated as exc:
         print(f"exact invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, WorkbenchError, ValueError) as exc:
+    except (UsageError, WorkbenchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if _violated(payload) else 0

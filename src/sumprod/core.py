@@ -227,12 +227,9 @@ def sumset(A: FSet, B: FSet, sign: str = PLUS, method: str = "bitmask") -> FSet:
     full = field.full_mask
     acc = 0
     am = A.mask
-    if sign == PLUS:
-        for b in B:
-            acc |= _rotate(am, b, p, full)
-    else:
-        for b in B:
-            acc |= _rotate(am, p - b if b else 0, p, full)
+    s = 1 if sign == PLUS else -1
+    for b in B:
+        acc |= _rotate(am, s * b, p, full)
     return field.fset_from_mask(acc)
 
 
@@ -279,18 +276,18 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
         raise ValueError(f"bad method {method!r}")
     q = p - 1
     full_q = (1 << q) - 1
+    dlog = field.dlog_table
     la = 0
     for a in A:
         if a:
-            la |= 1 << field.dlog_table[a]
+            la |= 1 << dlog[a]
     acc = 0
     if la:
         for b in B:
             if b:
-                k = field.dlog_table[b]
-                acc |= ((la << k) | (la >> (q - k))) & full_q if k else la
+                acc |= _rotate(la, dlog[b], q, full_q)
     exp = field.exp_table
-    mask = 1 if 0 in A or 0 in B else 0
+    mask = (A.mask | B.mask) & 1  # 0 is in AB iff it is in A or in B
     if acc.bit_count() < 48:  # decode a few log bits one at a time, more in one O(p) pass
         while acc:
             low = acc & -acc

@@ -26,13 +26,13 @@ from .core import (
     ratio_set,
     rep_fn,
     scale,
+    signed_combination,
     sumset,
 )
 from .errors import (
     BadEpsilon,
     BadParameters,
     EmptyDecomposition,
-    EmptyOperand,
     RatioSetFull,
     TooSmall,
     _check_guard,
@@ -44,6 +44,9 @@ LN100 = math.log(100.0)
 # Desk-scale guards for the exhaustive existential searches.
 KATZ_SHEN_MAX_BASE = 14
 KATZ_SHEN_MAX_TERMS = 3
+# gk_witness scores each t of R(A1) with |A1| rotations of a p-bit mask; a
+# random 16-set at p = 65521 (|R| = 23,459: 375k rotations) takes about 10 s.
+GK_MAX_ROTATIONS = 1 << 19
 
 # max_j 16^j |Y_j|^3  >=  CHANG_CONSTANT * Ex(Y,Z)^4 / (|Y|^4 * max(m, |Z|))
 # where m is the largest bucket size; see chang_floor_holds for the proof.
@@ -134,9 +137,7 @@ def katz_shen_subset(
     if not Bs:
         return B0, Fraction(1)
     min_card = max(1, math.ceil((1 - eps) * B0.card))
-    tail = Bs[0]
-    for extra in Bs[1:]:
-        tail = sumset(tail, extra)
+    tail = signed_combination([(Bi, PLUS) for Bi in Bs])
     denom = Fraction(1)
     for Bi in Bs:
         denom *= Fraction(sumset(Bi, B0).card, B0.card)
@@ -200,6 +201,10 @@ def gk_witness(A1: FSet, variant: str = "plus_plus") -> GkWitness:
     ratios = ratio_set(A1)
     if ratios.card == A1.field.p:
         raise RatioSetFull("ratio set equals F_p; use xi_search instead")
+    rotations = ratios.card * A1.card
+    _check_guard(
+        rotations <= GK_MAX_ROTATIONS, f"|R(A1)|*|A1|={rotations} exceeds the gk_witness guard {GK_MAX_ROTATIONS}"
+    )
     inner = sumset(A1, A1, PLUS if variant == "plus_plus" else MINUS)
     scores = {t: sumset(inner, scale(A1, t)).card for t in ratios}
     best = max(scores.values())
@@ -230,7 +235,7 @@ def xi_search(A1: FSet) -> tuple[int, int]:
 
 
 def bucket_index(v: int) -> int:
-    """Dyadic bucket of an intersection count: N_1={1,2}, N_j=(2^(j-1), 2^j]."""
+    """Dyadic bucket of a count, N_1={1,2}, N_j=(2^(j-1), 2^j]: max(1, ceil(log2 v)), the chains' Lg."""
     if v < 1:
         raise ValueError("bucket_index needs v >= 1")
     return max(1, (v - 1).bit_length())
@@ -275,7 +280,7 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
         if row > s_sum:
             pivot, s_sum = y0, row
     check(s_sum * Y.card >= e_val, "pivot pigeonhole broken")
-    j_max = max(1, (Z.card - 1).bit_length())
+    j_max = bucket_index(Z.card)
     bucket_masks = {j: 0 for j in range(1, j_max + 1)}
     for y in Y:
         v = (masks[pivot] & masks[y]).bit_count()
@@ -284,7 +289,7 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     buckets = {j: field.fset_from_mask(m) for j, m in bucket_masks.items()}
     lhs = max((16**j * b.card**3 for j, b in buckets.items() if b.card), default=0)
     # size classes run to ceil(log2 |Y|) so every nonempty bucket lands in one
-    s_max = max(1, (Y.card - 1).bit_length())
+    s_max = bucket_index(Y.card)
     js_seq = {
         s: max((j for j, b in buckets.items() if b.card and bucket_index(b.card) == s), default=0)
         for s in range(1, s_max + 1)
@@ -384,9 +389,7 @@ def plunnecke_audit(A: FSet, B: FSet, k: int = 4) -> PlunneckeAudit:
     if not 2 <= k <= 6:
         raise BadParameters(f"k must be in [2, 6], got {k}")
     ab = sumset(A, B).card
-    kb = B
-    for _ in range(k - 1):
-        kb = sumset(kb, B)
+    kb = signed_combination([(B, PLUS)] * k)
     return PlunneckeAudit(
         k=k,
         lhs_doubling=sumset(A, A).card * B.card,

@@ -196,6 +196,8 @@ def exhaustive_extremal(
     total = math.comb(p - 1, n - 1) + (n == 1)
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path, p, n, total)
+    elif checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise BadParameters(f"the directory of checkpoint {checkpoint_path!r} does not exist")
     else:
         state = _fresh_state(p, n)
     start = state["cursor"]

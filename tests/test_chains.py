@@ -80,7 +80,7 @@ class TestChainLarge:
 
         for A in (F11.fset(range(1, 11)), F13.fset([1, 2, 3, 5, 8, 9, 11])):
             steps = []
-            Z, _, _, d = _front_end(A, PLUS, steps)
+            _, d = _front_end(A, PLUS, steps)
             j0, _ = select_j0(d)
             zj0 = d.buckets[j0]
             r = chain_large(A)

@@ -110,6 +110,38 @@ class TestExitCodes:
         assert run(args) == 0
         capsys.readouterr()
 
+    def test_gk_guard_is_three(self, capsys, monkeypatch):
+        from sumprod import lemmas
+
+        # {1, 2} at p = 7: |R| = 3 ratios, 2 rotations each
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        monkeypatch.setattr(lemmas, "GK_MAX_ROTATIONS", 5)
+        scored = []  # gk_witness scales A1 by each t it scores
+        real_scale = lemmas.scale
+        monkeypatch.setattr(lemmas, "scale", lambda A, t: scored.append(t) or real_scale(A, t))
+        args = ["lemma", "gk", "--p", "7", "--a", "1,2"]
+        assert run(args) == 3
+        assert capsys.readouterr().err == "guard exceeded: |R(A1)|*|A1|=6 exceeds the gk_witness guard 5\n"
+        assert scored == []
+        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")
+        assert run(args) == 0
+        assert capsys.readouterr().out == (DATA / "golden" / "lemma_gk.json").read_text()
+        assert sorted(scored) == [0, 1, 6]
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "katzshen", "--p", "7", "--b0", "1,2,3", "--bs", "1,2", "--eps", "1/0"],
+        ["set", "--p", "7", "--a", "1,2", "--b", "3", "--op", "sum", "--out", "{missing}/x.json"],
+        ["extremal", "--p", "7", "--n", "2", "--threads", "1", "--checkpoint", "{dir}"],
+        ["extremal", "--p", "7", "--n", "2", "--threads", "1", "--checkpoint", "{missing}/ck.json"],
+    ], ids=["eps-zero-denominator", "out-in-missing-dir", "checkpoint-is-dir",
+            "checkpoint-in-missing-dir"])
+    def test_bad_input_is_two(self, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("state", [
         {"p": 13, "n": 4, "mode": "exhaustive"},
         # a complete state from before the version field

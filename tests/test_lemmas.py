@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumprod.core import MINUS, PLUS, make_field, sumset
 from sumprod.energy import multiplicative_energy
@@ -183,8 +184,17 @@ class TestChangDecompose:
 
     def test_bucket_index(self):
         assert [bucket_index(v) for v in (1, 2, 3, 4, 5, 8, 9)] == [1, 1, 2, 2, 3, 3, 4]
+        for k in range(1, 21):  # N_k ends at 2^k
+            assert (bucket_index(1 << k), bucket_index((1 << k) + 1)) == (k, k + 1)
         with pytest.raises(ValueError):
             bucket_index(0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1 << 20))
+    def test_bucket_index_is_dyadic_log(self, n):
+        # log2(2^k) = k exactly, and log2 of any other n <= 2^20 lies more than
+        # 1e-6 from an integer, so the float ceil(log2 n) is exact here
+        assert bucket_index(n) == max(1, math.ceil(math.log2(n)))
 
 
 class TestSelectJ0:
@@ -219,6 +229,24 @@ class TestPlunnecke:
     def test_k_range(self):
         with pytest.raises(BadParameters):
             plunnecke_audit(F7.fset([1]), F7.fset([1]), 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([5, 7, 13, 101, 4099, 65521]), st.integers(2, 6), st.data())
+    def test_matches_set_loop(self, p, k, data):
+        sets = st.sets(st.integers(0, p - 1), min_size=1, max_size=10)
+        a, b = data.draw(sets), data.draw(sets)
+
+        def plus(X, Y):
+            return {(x + y) % p for x in X for y in Y}
+
+        kb = b
+        for _ in range(k - 1):
+            kb = plus(kb, b)
+        field = make_field(p)
+        audit = plunnecke_audit(field.fset(a), field.fset(b), k)
+        assert audit.lhs_iterated == len(kb) * len(a) ** (k - 1)
+        assert audit.lhs_doubling == len(plus(a, a)) * len(b)
+        assert (audit.rhs_doubling, audit.rhs_iterated) == (len(plus(a, b)) ** 2, len(plus(a, b)) ** k)
 
     def test_sweep(self):
         rng = random.Random(9)

@@ -109,6 +109,15 @@ class TestExhaustive:
         with pytest.raises(BadParameters):
             exhaustive_extremal(7, 3, checkpoint_path=str(ck))
 
+    def test_checkpoint_in_missing_directory_fails_before_the_scan(self, tmp_path, monkeypatch):
+        import sumprod.search
+
+        scanned = []
+        monkeypatch.setattr(sumprod.search, "_scan_chunk", lambda *args: scanned.append(args))
+        with pytest.raises(BadParameters, match="directory of checkpoint .* does not exist"):
+            exhaustive_extremal(7, 2, checkpoint_path=str(tmp_path / "missing" / "ck.json"))
+        assert scanned == []
+
     @pytest.mark.parametrize("p,n", [(5, 1), (7, 7), (11, 4), (13, 4), (17, 5)])
     def test_matches_brute_force_record(self, p, n):
         rec = exhaustive_extremal(p, n)
