@@ -35,6 +35,9 @@ MAX_FIELD_P = 1 << 20
 _NUMPY_PAIR_THRESHOLD = 1024
 # pairs per numpy block, so the int64 difference block stays at 32 MB
 _PAIR_BLOCK = 1 << 22
+# set bits from which one bin()/str.find pass decodes a mask faster than
+# peeling low bits, each peel costing O(p) big-int work
+_DENSE_BITS = 48
 
 
 def _is_prime(n: int) -> bool:
@@ -65,6 +68,23 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of a nonnegative mask."""
+    out = []
+    if mask.bit_count() < _DENSE_BITS:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    bits = bin(mask)[:1:-1]  # binary digits, least significant first
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,6 +119,8 @@ class PrimeField:
         return FSet(self, mask, mask.bit_count())
 
     def fset_from_mask(self, mask: int) -> "FSet":
+        if mask < 0:
+            raise ValueError("mask must be nonnegative")
         if mask >> self.p:
             raise ValueError("mask has bits at index >= p")
         return FSet(self, mask, mask.bit_count())
@@ -133,21 +155,25 @@ def make_field(p: int) -> PrimeField:
 
 @dataclass(frozen=True)
 class FSet:
-    """A subset of F_p as a p-bit membership mask with cached cardinality."""
+    """A subset of F_p as a p-bit membership mask with cached cardinality.
+
+    The ascending elements are decoded from the mask once, on first use,
+    and kept in the instance __dict__ rather than in a field, so equality,
+    hashing, repr and dataclasses.fields see only (field, mask, card).
+    """
 
     field: PrimeField
     mask: int
     card: int
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self)
+        els = self.__dict__.get("_elements")
+        if els is None:
+            els = self.__dict__["_elements"] = _bits(self.mask)
+        return els
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(self.elements())
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> (x % self.field.p) & 1)
@@ -288,19 +314,15 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
                 acc |= _rotate(la, dlog[b], q, full_q)
     exp = field.exp_table
     mask = (A.mask | B.mask) & 1  # 0 is in AB iff it is in A or in B
-    if acc.bit_count() < 48:  # decode a few log bits one at a time, more in one O(p) pass
-        while acc:
-            low = acc & -acc
-            mask |= 1 << exp[low.bit_length() - 1]
-            acc ^= low
+    logs = _bits(acc)
+    if len(logs) < _DENSE_BITS:  # encode a few elements one at a time, more in one O(p) pass
+        for k in logs:
+            mask |= 1 << exp[k]
     else:
-        # one pass: binary digit exp[k] is 1 for every bit k of acc
-        bits = bin(acc)[:1:-1]
+        # one pass: binary digit exp[k] is 1 for every log k
         digits = bytearray(b"0" * p)
-        k = bits.find("1")
-        while k >= 0:
+        for k in logs:
             digits[p - 1 - exp[k]] = 49
-            k = bits.find("1", k + 1)
         mask |= int(digits, 2)
     return field.fset_from_mask(mask)
 

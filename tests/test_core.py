@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import core
+from sumprod.cli import jsonable
 from sumprod.core import (
     MINUS,
     PLUS,
@@ -28,6 +31,7 @@ from sumprod.errors import (
     TooSmall,
     ZeroDilation,
 )
+from sumprod.search import canonical_form
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -85,6 +89,38 @@ class TestFSet:
         assert F7.fset([1, 2]) == F7.fset([2, 1])
         assert F7.fset([1]) != F5.fset([1])
         assert len({F7.fset([1, 2]), F7.fset([2, 1])}) == 1
+
+    def test_negative_mask_refused(self):
+        # _bits would peel the low bit of a negative mask forever
+        with pytest.raises(ValueError, match="nonnegative"):
+            F7.fset_from_mask(-1)
+        with pytest.raises(ValueError, match="index >= p"):
+            F7.fset_from_mask(1 << 7)
+
+    def test_element_cache_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(core.FSet)] == ["field", "mask", "card"]
+        F = make_field(1009)
+        for mask in (0b1011, (1 << 200) - 1, F.full_mask):
+            decoded, fresh = F.fset_from_mask(mask), F.fset_from_mask(mask)
+            decoded.elements()
+            assert decoded == fresh and hash(decoded) == hash(fresh)
+            assert repr(decoded) == repr(fresh) and jsonable(decoded) == jsonable(fresh)
+            for s in (decoded, fresh):
+                back = pickle.loads(pickle.dumps(s))
+                assert back == s and back.card == s.card and tuple(back) == tuple(s)
+
+    def test_canonical_form_decodes_once(self, monkeypatch):
+        # the p - 2 dilates each iterate A; only the first iteration decodes its mask
+        bits, decoded = core._bits, []
+
+        def counting_bits(mask):
+            decoded.append(mask)
+            return bits(mask)
+
+        monkeypatch.setattr(core, "_bits", counting_bits)
+        A = make_field(1009).fset([1, 5, 17, 400, 1008])
+        canonical_form(A)
+        assert decoded == [A.mask]
 
 
 class TestSumset:

@@ -4,7 +4,9 @@ The oracles are the scans the fast paths replaced: greedy_cover scanned all
 p translates at every step, xi_search scanned every xi against every
 difference, ratio_set divided every difference by every nonzero one,
 gk_witness scored every (b-a, d-c) pair, and the chains' xi route looked
-for its quadruple with a scan of its own.
+for its quadruple with a scan of its own.  Decoding a mask is checked
+against a test of every bit, and canonical_form against the least mask of
+the dilates built as plain sets.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 
 from sumprod import lemmas
 from sumprod.core import (
+    _DENSE_BITS,
     MINUS,
     PLUS,
     _rotate,
@@ -30,6 +33,7 @@ from sumprod.core import (
 )
 from sumprod.energy import additive_energy, multiplicative_energy
 from sumprod.lemmas import GkWitness, gk_witness, greedy_cover, xi_search
+from sumprod.search import canonical_form
 
 
 def _primes_upto(n):
@@ -343,3 +347,107 @@ def test_dilate_matches_naive_at_large_p(ab, data):
     uA = dilate(A, u)
     assert uA == A.field.fset(want) and uA.card == len(want)
     assert scale(A, 0) == A.field.fset([0])
+
+
+def decode_scan(A):
+    """Ascending elements of A by testing every residue's bit."""
+    return tuple(i for i in range(A.field.p) if A.mask >> i & 1)
+
+
+@st.composite
+def _decode_case(draw):
+    """A set over a prime <= 65521: sparse, dense, full, or with 0 added."""
+    p = draw(PRIMES_65521)
+    field = make_field(p)
+    kind = draw(st.sampled_from(["sparse", "dense", "full"]))
+    if kind == "full":
+        return field.full_set()
+    if kind == "dense":
+        rng = draw(st.randoms(use_true_random=False))
+        width = draw(st.integers(1, min(p, 2 * _DENSE_BITS + 100)))
+        start = draw(st.integers(0, p - 1))
+        els = {(start + i) % p for i in range(width) if rng.random() < 0.75}
+    else:
+        els = set(draw(st.lists(st.integers(0, p - 1), max_size=_DENSE_BITS + 2)))
+    if draw(st.booleans()):
+        els.add(0)
+    return field.fset(els)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_decode_case())
+def test_elements_match_bit_scan(A):
+    want = decode_scan(A)
+    assert A.elements() == want and tuple(A) == want and len(want) == A.card
+    fresh = A.field.fset_from_mask(A.mask)
+    assert tuple(fresh) == want and fresh.elements() == want
+
+
+@pytest.mark.parametrize("p", [3, 1009, 65521])
+def test_elements_at_fixed_masks(p):
+    # both sides of _bits' switch: popcounts 47 and 48 and 49 straddle _DENSE_BITS
+    field = make_field(p)
+    rng = random.Random(p)
+    masks = [0, 1, 1 << (p - 1), field.full_mask]
+    for count in (_DENSE_BITS - 1, _DENSE_BITS, _DENSE_BITS + 1):
+        if count <= p:
+            masks.append(sum(1 << i for i in rng.sample(range(p), count)))
+    for mask in masks:
+        A = field.fset_from_mask(mask)
+        want = decode_scan(A)
+        assert A.elements() == want and tuple(A) == want
+
+
+def canonical_scan(A):
+    """Least mask among the dilates uA, u in 1..p-1, each built from a plain set."""
+    p, els = A.field.p, decode_scan(A)
+    best = None
+    for u in range(1, p):
+        mask = 0
+        for x in {u * a % p for a in els}:
+            mask |= 1 << x  # OR, not sum(): big-int addition is 3x slower at p = 65521
+        if best is None or mask < best:
+            best = mask
+    return best
+
+
+@st.composite
+def _canonical_case(draw):
+    """A set over a prime <= 4099: sparse, dense, or a coset of a subgroup of F_p*.
+
+    A coset xH is fixed by every u in H, so |H| dilates tie for the least
+    mask.  Dense sets are windows of up to 120 residues with about 3/4 kept,
+    most of the field at small p.  Any of them may hold 0.
+    """
+    p = draw(PRIMES_4099)
+    field = make_field(p)
+    kind = draw(st.sampled_from(["sparse", "dense", "coset"]))
+    if kind == "coset":
+        orders = [d for d in range(1, min(p - 1, 120) + 1) if (p - 1) % d == 0]
+        order = draw(st.sampled_from(orders))
+        x = draw(st.integers(1, p - 1))
+        h = pow(field.g, (p - 1) // order, p)
+        els = {x * pow(h, k, p) % p for k in range(order)}
+    elif kind == "dense":
+        rng = draw(st.randoms(use_true_random=False))
+        width = draw(st.integers(1, min(p, 120)))
+        start = draw(st.integers(0, p - 1))
+        els = {(start + i) % p for i in range(width) if rng.random() < 0.75} or {start}
+    else:
+        els = set(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12)))
+    if draw(st.booleans()):
+        els.add(0)
+    return field.fset(els)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_canonical_case())
+def test_canonical_form_matches_dilate_scan(A):
+    C = canonical_form(A)
+    assert C.mask == canonical_scan(A) and C.card == A.card
+
+
+def test_canonical_form_matches_dilate_scan_at_65521():
+    field = make_field(65521)
+    A = field.fset(random.Random(16).sample(range(1, 65521), 16))
+    assert canonical_form(A).mask == canonical_scan(A)
