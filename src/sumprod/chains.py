@@ -33,6 +33,7 @@ from .core import (
     sumset,
 )
 from .energy import multiplicative_energy
+from .errors import EmptyOperand
 from .lemmas import (
     KATZ_SHEN_MAX_BASE,
     BucketDecomposition,
@@ -194,6 +195,9 @@ def _pair_front(
     """P51 and T15's opening: zero removal, the (A*, B*) decomposition, A*B*, energy floor."""
     _require_same_field(A, B)
     _require_nonempty(A, B)
+    if (A.mask == 1) != (B.mask == 1):
+        # A* = {0} against a nonzero B*: Ex = |A*B*| = 1, so the floor would ask |B*|^2 <= 1
+        raise EmptyOperand("A and B must both be {0} or both have a nonzero element")
     As = _strip_zero(A)
     Bs = _strip_zero(B)
     steps.append(exact_step("zero removal: |A| <= 2|A*|", A.card, 2 * As.card))

@@ -20,8 +20,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import chains, lemmas, search
-from .energy import ADDITIVE, MULTIPLICATIVE, energy as energy_fn
+# Only core and errors here: each subcommand's handler imports the modules it
+# runs, so a process loads no more than its subcommand needs.
 from .core import (
     MINUS,
     PLUS,
@@ -109,7 +109,9 @@ def _payload(kind: str, report) -> dict:
         out["meets_floor"] = report.meets_floor
     elif kind == "bucket_decomposition":
         out["max_bucket_card"] = report.max_bucket_card
-        out["floor_holds"] = lemmas.chang_floor_holds(report)
+        from .lemmas import chang_floor_holds
+
+        out["floor_holds"] = chang_floor_holds(report)
     elif kind == "search_record":
         out["exponent"] = jsonable(report.exponent)
     return out
@@ -271,7 +273,17 @@ def _run_set(args, field) -> dict:
             "elements": sorted(res), "card": res.card}
 
 
+def _run_energy(args, field) -> dict:
+    from .energy import ADDITIVE, MULTIPLICATIVE, energy
+
+    kind = ADDITIVE if args.kind == "add" else MULTIPLICATIVE
+    rep = energy(parse_set(args.y, field), parse_set(args.z, field), kind, args.method)
+    return _payload("energy_report", rep)
+
+
 def _run_lemma(args, field) -> dict:
+    from . import lemmas
+
     if args.which == "cover":
         _need(args, ["b1", "b2"])
         rep = lemmas.greedy_cover(parse_set(args.b1, field), parse_set(args.b2, field), args.mode)
@@ -301,6 +313,8 @@ def _run_lemma(args, field) -> dict:
 
 
 def _run_chain(args, field) -> dict:
+    from . import chains
+
     A = parse_set(args.a, field)
     if args.theorem in ("1.3", "1.4", "1.5", "prop51"):
         _need(args, ["b"])
@@ -323,6 +337,8 @@ def _run_chain(args, field) -> dict:
 
 
 def _run_extremal(args, field) -> dict:
+    from . import search
+
     if args.mode == "anneal":
         rep = search.anneal_extremal(field.p, args.n, seed=args.seed, iters=args.iters)
     else:
@@ -333,6 +349,16 @@ def _run_extremal(args, field) -> dict:
     return _payload("search_record", rep)
 
 
+def _run_scan_ratio(args, field) -> dict:
+    from . import search
+
+    return _payload("ratio_scan_table", search.ratio_threshold_scan(field.p))
+
+
+_RUNNERS = {"set": _run_set, "energy": _run_energy, "lemma": _run_lemma, "chain": _run_chain,
+            "extremal": _run_extremal, "scan-ratio": _run_scan_ratio}
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -340,22 +366,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        field = make_field(args.p)
-        if args.command == "set":
-            payload = _run_set(args, field)
-        elif args.command == "energy":
-            kind = ADDITIVE if args.kind == "add" else MULTIPLICATIVE
-            rep = energy_fn(parse_set(args.y, field), parse_set(args.z, field),
-                            kind, args.method)
-            payload = _payload("energy_report", rep)
-        elif args.command == "lemma":
-            payload = _run_lemma(args, field)
-        elif args.command == "chain":
-            payload = _run_chain(args, field)
-        elif args.command == "extremal":
-            payload = _run_extremal(args, field)
-        else:
-            payload = _payload("ratio_scan_table", search.ratio_threshold_scan(args.p))
+        payload = _RUNNERS[args.command](args, make_field(args.p))
         emit(payload, args.format, args.out)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

@@ -153,6 +153,47 @@ class TestChainBalanced:
         assert chain_balanced(F31.fset([1]), F31.fset([1, 2, 3])).warnings
 
 
+PAIR_CHAINS = {
+    "P51": prop51_audit,
+    "T13": lambda A, B: chain_unbalanced(A, B, "T13"),
+    "T14": lambda A, B: chain_unbalanced(A, B, "T14"),
+    "T15": chain_balanced,
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_off_diagonal_exact_steps(p):
+    """Every (A, B) with |A|, |B| <= 3, not only B = A: each exact step of the
+    two-set chains holds, and exactly the pairs where one of A, B is {0}
+    (the other has a nonzero element) are refused."""
+    field = make_field(p)
+    sets = [field.fset(c) for n in (1, 2, 3) for c in itertools.combinations(range(p), n)]
+    failed, refused = [], set()
+    for A, B in itertools.product(sets, repeat=2):
+        for name, call in PAIR_CHAINS.items():
+            try:
+                report = call(A, B)
+            except EmptyOperand:
+                refused.add((name, A.mask, B.mask))
+                continue
+            failed += [(name, list(A), list(B), s.name) for s in report.steps
+                       if s.kind == EXACT and not s.passed]
+    assert failed == []
+    lone_zero = [(A.mask, B.mask) for A, B in itertools.product(sets, repeat=2)
+                 if (A.mask == 1) != (B.mask == 1)]
+    assert refused == {(name, a, b) for name in PAIR_CHAINS for a, b in lone_zero}
+    assert len(lone_zero) == 2 * (len(sets) - 1)
+
+
+def test_zero_against_nonzero_is_refused():
+    # A* = {0} would make the energy floor ask |B*|^2 <= 1
+    for A, B in ((F5.fset([0]), F5.fset([1, 2])), (F5.fset([1, 2]), F5.fset([0]))):
+        for call in PAIR_CHAINS.values():
+            with pytest.raises(EmptyOperand, match=r"both be \{0\}"):
+                call(A, B)
+    assert not chain_balanced(F5.fset([0]), F5.fset([0])).violation
+
+
 class TestEnergyBoundAudit:
     def test_worked_example(self):
         r = energy_bound_audit(F7.fset([1, 2]))

@@ -1,6 +1,9 @@
+import importlib
 import json
 import os
 import pathlib
+import random
+import re
 import resource
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import time
 
 import pytest
 
+import sumprod
 from sumprod.cli import parse_set, run
 from sumprod.core import make_field
 
@@ -133,8 +137,9 @@ class TestExitCodes:
         ["set", "--p", "7", "--a", "1,2", "--b", "3", "--op", "sum", "--out", "{missing}/x.json"],
         ["extremal", "--p", "7", "--n", "2", "--threads", "1", "--checkpoint", "{dir}"],
         ["extremal", "--p", "7", "--n", "2", "--threads", "1", "--checkpoint", "{missing}/ck.json"],
+        ["chain", "--theorem", "prop51", "--p", "5", "--a", "0", "--b", "1,2"],
     ], ids=["eps-zero-denominator", "out-in-missing-dir", "checkpoint-is-dir",
-            "checkpoint-in-missing-dir"])
+            "checkpoint-in-missing-dir", "chain-zero-against-nonzero"])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
         assert run(argv) == 2
@@ -249,9 +254,150 @@ def test_invariant_violation_is_one_under_optimize():
     assert proc.stderr == "exact invariant violated: covering budget exceeded\n"
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    proc = _python("-c", "import sys, sumprod.cli; assert 'numpy' not in sys.modules")
+CORE = ("sumprod", "sumprod.core", "sumprod.errors")
+# What a fresh interpreter loads: the sumprod modules exactly, for a statement
+# or for one `python -m sumprod.cli` run of a golden invocation per subcommand.
+FRESH_IMPORTS = {
+    "import sumprod": ("import sumprod", ("sumprod",)),
+    "sumprod.make_field": ("import sumprod; sumprod.make_field(7)", CORE),
+    "import sumprod.cli": ("import sumprod.cli", (*CORE, "sumprod.cli")),
+}
+FRESH_RUNS = {
+    "set_sum.json": CORE,
+    "energy_add.json": (*CORE, "sumprod.energy"),
+    "lemma_chang.json": (*CORE, "sumprod.lemmas"),
+    "chain_t13.json": (*CORE, "sumprod.energy", "sumprod.lemmas", "sumprod.chains"),
+    "extremal.json": (*CORE, "sumprod.search"),
+    "scan_ratio.json": (*CORE, "sumprod.search"),
+}
+
+
+@pytest.mark.parametrize("case", [*FRESH_IMPORTS, *FRESH_RUNS])
+def test_fresh_process_loads_only_what_it_runs(case):
+    if case in FRESH_IMPORTS:
+        code, want = FRESH_IMPORTS[case]
+        proc = _python("-v", "-c", code)
+        assert proc.stdout == ""
+    else:
+        want = FRESH_RUNS[case]
+        proc = _python("-v", "-m", "sumprod.cli", *GOLDEN_CASES[case])
+        assert proc.stdout == (DATA / "golden" / case).read_text()
     assert proc.returncode == 0, proc.stderr
+    # -v reports every module as it is loaded, including `from . import x`
+    loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
+    assert sorted(m for m in loaded if m.split(".")[0] == "sumprod") == sorted(want)
+    assert "numpy" not in loaded
+    # the process pool's imports are paid only by the subcommands that can start one
+    assert ("multiprocessing" in loaded) == ("sumprod.search" in want)
+
+
+def test_package_names_are_their_submodules_objects(monkeypatch):
+    for name in sumprod.__all__:
+        if name == "errors":
+            assert sumprod.errors is importlib.import_module("sumprod.errors")
+            continue
+        home = sumprod._HOME[name]
+        obj = getattr(sumprod, name)
+        assert obj is getattr(importlib.import_module(home), name), name
+        if callable(obj):
+            assert obj.__module__ == home, name
+    assert set(sumprod.__all__) <= set(dir(sumprod))
+    # nothing is cached on the package: a rebinding in the submodule shows through
+    wrapper = object()
+    monkeypatch.setattr(sumprod.chains, "chain_small", wrapper)
+    assert sumprod.chain_small is wrapper
+    monkeypatch.undo()
+    assert sumprod.chain_small is sumprod.chains.chain_small is not wrapper
+    with pytest.raises(AttributeError):
+        sumprod.no_such_name
+
+
+FUZZ_SEED = 20261019
+FUZZ_RUNS = 1000
+
+
+def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
+    """One sumprod argument vector from a small grammar: mostly well formed,
+    with bad primes, set specs, numbers and options mixed in.  --threads is 1
+    or above the worker guard, so no process pool is ever started."""
+
+    def pick(good, bad=(), rate=0.05):
+        return rng.choice(bad) if bad and rng.random() < rate else rng.choice(good)
+
+    p = pick(["3", "5", "7", "11", "13", "13"], ["1", "4", "-7", "x"])
+    q = int(p) if p.lstrip("-").isdigit() and int(p) > 1 else 7
+
+    def spec():
+        roll = rng.random()
+        if roll < 0.5:
+            return ",".join(str(rng.randrange(-q, 2 * q)) for _ in range(rng.randint(1, 5)))
+        if roll < 0.9:
+            start, step, length = rng.randrange(q), rng.randrange(-1, q + 1), rng.randint(-1, 2 * q)
+            return f"{pick(['ap', 'gp'])}:{start},{step},{length}"
+        return pick(["", "0", "1,,2", "x", "ap:1,2", "gp:1", "1;2", f"@{tmp_path / 'missing'}"])
+
+    command = pick(["set", "energy", "lemma", "chain", "extremal", "scan-ratio"], ["bogus"])
+    argv = [command]
+    options = {"--p": p, "--format": pick(["json", "csv", "text"], ["xml"]),
+               "--seed": str(rng.randrange(-2, 100)),
+               "--out": pick([None], [str(tmp_path / "out"), str(tmp_path / "no" / "out")], 0.1)}
+    if command == "set":
+        options.update({"--a": spec(), "--b": pick([spec()], [None]),
+                        "--op": pick(["sum", "diff", "prod", "ratio", "dilate", "pattern", "rep"], ["cube"]),
+                        "--u": pick([str(rng.randrange(-q, 2 * q))], [None]),
+                        "--pattern": pick(["++--", "+-", "+", "-" * rng.randint(1, 6)], [None, "", "+x"]),
+                        "--sign": pick(["plus", "minus"])})
+    elif command == "energy":
+        options.update({"--y": spec(), "--z": spec(), "--kind": pick(["add", "mult"], ["both"]),
+                        "--method": pick(["naive", "convolution"])})
+    elif command == "lemma":
+        argv.append(pick(["cover", "katzshen", "gk", "xi", "chang"], ["zorn"]))
+        for name in ("--a", "--b1", "--b2", "--b0", "--y", "--z"):
+            options[name] = pick([spec()], [None])
+        options.update({"--bs": pick([spec(), f"{spec()};{spec()}"], [None, ";"]),
+                        "--eps": pick(["1/4", "1/3", "1/2", "3/4"], ["0", "1", "-1/3", "1/0", "0.3", "x"], 0.2),
+                        "--mode": pick(["plus", "minus"]),
+                        "--variant": pick(["plus_plus", "plus_minus"])})
+    elif command == "chain":
+        options.update({"--theorem": pick(["1.1", "1.2", "1.3", "1.4", "1.5", "prop51", "remark"], ["2.0"]),
+                        "--a": spec(), "--b": pick([spec()], [None]),
+                        "--sign": pick(["plus", "minus"])})
+    elif command == "extremal":
+        options.update({"--n": str(rng.randint(-1, q + 1)), "--mode": pick(["exhaustive", "anneal"]),
+                        "--iters": str(rng.randint(-1, 60)),
+                        "--threads": pick(["1"], [str(rng.randint(5, 10**6))], 0.2),
+                        "--checkpoint": pick([None], [str(tmp_path / f"ck{rng.randrange(3)}.json")], 0.3)})
+    for name, value in options.items():
+        if value is not None and rng.random() > 0.02:  # now and then a required option is missing
+            argv.append(f"{name}={value}")  # one token, so a value may start with '-'
+    return argv
+
+
+def test_fuzzed_argv_exit_codes(one_cpu_pools, tmp_path, capsys, monkeypatch):
+    # one_cpu_pools: 1 CPU, so a --threads above 4 exceeds the worker guard
+    monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+    rng = random.Random(FUZZ_SEED)
+    codes = []
+    for _ in range(FUZZ_RUNS):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            code = run(argv)
+        except Exception as exc:  # report the argv that let it escape
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert "error: " in err, argv
+        elif code == 3:
+            assert err.startswith("guard exceeded: "), argv
+        elif code == 1:
+            assert argv[0] != "chain", argv  # every exact chain step holds on every input
+            # an invariant that raised, or a report that shows the violation
+            reported = out or any(a.startswith("--out=") for a in argv)
+            assert err.startswith("exact invariant violated: ") or reported, argv
+        codes.append(code)
+    assert one_cpu_pools == []
+    assert set(codes) >= {0, 2, 3}
 
 
 def _cap_address_space():
