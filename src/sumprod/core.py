@@ -10,8 +10,10 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,6 +37,8 @@ MAX_FIELD_P = 1 << 20
 _NUMPY_PAIR_THRESHOLD = 1024
 # pairs per numpy block, so the int64 difference block stays at 32 MB
 _PAIR_BLOCK = 1 << 22
+# pair_energy's int64 dot is exact below this bound on its sum
+_INT64_LIMIT = 1 << 63
 # set bits from which one bin()/str.find pass decodes a mask faster than
 # peeling low bits, each peel costing O(p) big-int work
 _DENSE_BITS = 48
@@ -380,15 +384,21 @@ def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:
 
 def pair_counts(xs: Sequence[int], ys: Sequence[int], m: int, xw=None, yw=None) -> list[int]:
     """counts[k] = sum of xw[i] * yw[j] (weights >= 0, default 1) over xs[i] - ys[j] = k mod m."""
+    if len(xs) * len(ys) >= _NUMPY_PAIR_THRESHOLD:
+        return _pair_hist(xs, ys, m, xw, yw).tolist()
+    xw, yw = xw or [1] * len(xs), yw or [1] * len(ys)
+    counts = [0] * m
+    for x, a in zip(xs, xw):
+        for y, b in zip(ys, yw):
+            counts[(x - y) % m] += a * b
+    return counts
+
+
+def _pair_hist(xs: Sequence[int], ys: Sequence[int], m: int, xw=None, yw=None):
+    """pair_counts as a numpy int64 array, counted in blocks of at most _PAIR_BLOCK pairs."""
+    import numpy as np
     weighted = xw is not None or yw is not None
     xw, yw = xw or [1] * len(xs), yw or [1] * len(ys)
-    if len(xs) * len(ys) < _NUMPY_PAIR_THRESHOLD:
-        counts = [0] * m
-        for x, a in zip(xs, xw):
-            for y, b in zip(ys, yw):
-                counts[(x - y) % m] += a * b
-        return counts
-    import numpy as np
     # x - y + m lies in (0, 2m): 2m bins folded once are cheaper than a % m per pair
     x, y = np.asarray(xs, dtype=np.int64) % m + m, np.asarray(ys, dtype=np.int64) % m
     rows = max(1, _PAIR_BLOCK // len(ys))
@@ -396,4 +406,27 @@ def pair_counts(xs: Sequence[int], ys: Sequence[int], m: int, xw=None, yw=None) 
     for i in range(0, len(x), rows):
         w = np.outer(xw[i : i + rows], yw).ravel() if weighted else 1
         np.add.at(counts, (x[i : i + rows, None] - y).ravel(), w)
-    return (counts[:m] + counts[m:]).tolist()
+    return counts[:m] + counts[m:]
+
+
+def pair_energy(ys: Sequence[int], zs: Sequence[int], m: int) -> int:
+    """Sum over k mod m of r_Y(k) * r_Z(k), with r_X(k) = #{(x, x') in X^2 : x - x' = k mod m}.
+
+    While each histogram counts fewer than _NUMPY_PAIR_THRESHOLD pairs the
+    differences go into a dict and only the keys present are summed; from
+    there on both come from _pair_hist and meet in one int64 dot, which is
+    exact while |Y|^2 * max r_Z < _INT64_LIMIT (every term is nonnegative),
+    and are summed in Python ints beyond.  zs equal to ys is counted once.
+    """
+    if not (ys and zs):
+        return 0
+    same = zs is ys or zs == ys
+    if max(len(ys), len(zs)) ** 2 < _NUMPY_PAIR_THRESHOLD:
+        ry = Counter((x - y) % m for x in ys for y in ys)
+        rz = ry if same else Counter((x - y) % m for x in zs for y in zs)
+        return sum(c * rz.get(k, 0) for k, c in ry.items())
+    ry = _pair_hist(ys, ys, m)
+    rz = ry if same else _pair_hist(zs, zs, m)
+    if len(ys) ** 2 * int(rz.max()) < _INT64_LIMIT:
+        return int(ry @ rz)
+    return sum(map(mul, ry.tolist(), rz.tolist()))

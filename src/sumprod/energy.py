@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    MINUS,
     FSet,
     _require_nonempty,
     _require_same_field,
     _rotate,
     _scaled_mask,
-    pair_counts,
+    pair_energy,
     product_set,
-    rep_fn,
     sumset,
 )
 
@@ -67,9 +65,7 @@ def _additive_naive(Y: FSet, Z: FSet) -> int:
 
 
 def _additive_convolution(Y: FSet, Z: FSet) -> int:
-    ry = rep_fn(Y, Y, MINUS).counts
-    rz = rep_fn(Z, Z, MINUS).counts
-    return sum(a * b for a, b in zip(ry, rz))
+    return pair_energy(Y.elements(), Z.elements(), Y.field.p)
 
 
 def _mult_naive(Y: FSet, Z: FSet) -> int:
@@ -86,11 +82,7 @@ def _mult_convolution(Y: FSet, Z: FSet) -> int:
     lz = [field.dlog_table[z] for z in Z if z]
     zy = 1 if 0 in Y else 0
     zz = 1 if 0 in Z else 0
-    total = 0
-    if ly and lz:
-        ry = pair_counts(ly, ly, q)
-        rz = pair_counts(lz, lz, q)
-        total += sum(a * b for a, b in zip(ry, rz))
+    total = pair_energy(ly, lz, q)
     if zz:
         total += len(ly) ** 2
     if zy:

@@ -234,6 +234,19 @@ def test_rep_subcommand(capsys):
     assert payload["counts"] == [2, 1, 0, 0, 1]
 
 
+@pytest.mark.parametrize("kind", ["add", "mult"])
+def test_energy_json_value_is_int_at_large_p(kind, capsys):
+    # 40 and 50 elements: both histograms count 1024 pairs or more, so numpy counts them
+    values = []
+    for method in ("convolution", "naive"):
+        assert run(["energy", "--p", "65521", "--y", "ap:1,3,40", "--z", "gp:2,3,50",
+                    "--kind", kind, "--method", method]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert type(value) is int
+        values.append(value)
+    assert values[0] == values[1]
+
+
 def _python(*args, **kwargs):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -14,6 +14,7 @@ from sumprod.core import (
     make_field,
     negate,
     pair_counts,
+    pair_energy,
     pattern_combination,
     product_set,
     ratio_set,
@@ -276,6 +277,49 @@ class TestPairCounts:
         xw = [rng.randrange(100) for _ in range(53)]
         assert pair_counts(xs, ys, 101) == _loop_pair_counts(xs, ys, 101)
         assert pair_counts(xs, ys, 101, xw) == _loop_pair_counts(xs, ys, 101, xw)
+
+
+def _loop_energy(ys, zs, m):
+    return sum(a * b for a, b in zip(_loop_pair_counts(ys, ys, m), _loop_pair_counts(zs, zs, m)))
+
+
+class TestPairEnergy:
+    # 31 entries count 961 pairs in a dict, 32 count 1024 through numpy
+    @pytest.mark.parametrize("ny, nz", [(1, 1), (31, 31), (32, 32), (31, 32), (3, 40), (70, 5)])
+    @pytest.mark.parametrize("m", [1, 2, 127, 1009, 65520])
+    def test_matches_loop(self, ny, nz, m):
+        rng = random.Random(ny * 1000 + nz)
+        ys = [rng.randrange(-50, 70000) for _ in range(ny)]
+        zs = [rng.randrange(-50, 70000) for _ in range(nz)]
+        for a, b in ((ys, zs), (zs, ys), (ys, ys), (ys, list(ys))):
+            got = pair_energy(a, b, m)
+            assert got == _loop_energy(a, b, m)
+            assert type(got) is int
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_repeated_entries(self, k):
+        # multiplicities a, b at 3, 5 and c, d at 1, 3: differences 0 and +-2 mod 7
+        a, b, c, d = 10 * k, 5 * k, 4 * k, 2 * k
+        ys, zs = [3] * a + [5] * b, [1] * c + [3] * d
+        want = (a * a + b * b) * (c * c + d * d) + 2 * a * b * c * d
+        assert pair_energy(ys, zs, 7) == _loop_energy(ys, zs, 7) == want
+
+    def test_empty_operand(self):
+        assert pair_energy([], [1, 2], 7) == pair_energy(list(range(40)), [], 7) == 0
+
+    def test_python_int_sum_beyond_int64_bound(self, monkeypatch):
+        # 40 distinct residues: r(0) = 40 is the largest count, so the dot's bound is 40^2 * 40
+        ys = list(range(0, 400, 10))
+        summed = []
+        monkeypatch.setattr(core, "mul", lambda a, b: summed.append(1) or a * b)
+        for limit, python_ints in ((40**3 + 1, False), (40**3, True), (1, True)):
+            monkeypatch.setattr(core, "_INT64_LIMIT", limit)
+            summed.clear()
+            for zs in (ys, list(range(7, 407, 10))):
+                got = pair_energy(ys, zs, 1009)
+                assert got == _loop_energy(ys, zs, 1009)
+                assert type(got) is int
+            assert bool(summed) == python_ints
 
 
 @settings(max_examples=100, deadline=None)

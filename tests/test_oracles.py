@@ -32,7 +32,7 @@ from sumprod.core import (
     sumset,
 )
 from sumprod.energy import additive_energy, multiplicative_energy
-from sumprod.lemmas import GkWitness, gk_witness, greedy_cover, xi_search
+from sumprod.lemmas import GkWitness, chang_decompose, gk_witness, greedy_cover, xi_search
 from sumprod.search import canonical_form
 
 
@@ -268,14 +268,15 @@ def test_first_quadruple_matches_xi_scan(p):
 
 
 @st.composite
-def _sparse_or_dense_pair(draw):
-    """Two sets over one prime <= 65521, p = 65521 about half the time.
+def _sparse_or_dense_pair(draw, primes=PRIMES_65521):
+    """Two sets over one prime drawn from `primes`: by default a prime <= 65521,
+    p = 65521 about half the time.
 
     Each set is either a sparse random set or a dense one: a window of up
     to 300 consecutive residues (wrapping past p - 1) with about 3/4 of
     them kept, which at small p is most of the field.  Either may hold 0.
     """
-    p = draw(PRIMES_65521)
+    p = draw(primes)
     rng = draw(st.randoms(use_true_random=False))
 
     def one():
@@ -305,6 +306,31 @@ def test_sumset_matches_naive_at_large_p(ab):
 def test_additive_energy_matches_naive_at_large_p(yz):
     Y, Z = yz
     assert additive_energy(Y, Z) == additive_energy(Y, Z, method="naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair())
+def test_multiplicative_energy_matches_naive_at_large_p(yz):
+    Y, Z = yz
+    assert multiplicative_energy(Y, Z) == multiplicative_energy(Y, Z, method="naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_or_dense_pair())
+def test_energies_of_one_set_match_naive_at_large_p(yz):
+    # Z is Y itself, then an equal set built apart from it
+    Y, _ = yz
+    for Z in (Y, Y.field.fset_from_mask(Y.mask)):
+        for energy in (additive_energy, multiplicative_energy):
+            assert energy(Y, Z) == energy(Y, Z, method="naive")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_sparse_or_dense_pair(st.just(65521)))
+def test_chang_rows_add_up_to_multiplicative_energy(yz):
+    # the pivot search sums |y0*Z cap y*Z| by masks, the energy counts dlog differences
+    Y, Z = yz
+    assert chang_decompose(Y, Z).energy == multiplicative_energy(Y, Z).value
 
 
 @settings(max_examples=40, deadline=None)
