@@ -5,6 +5,12 @@ shift-OR rotations of Python big ints and cardinalities are popcounts.
 Product sets reduce to cyclic sumsets in the discrete-log domain; 0 is
 handled by an explicit side rule because the log map excludes it.
 
+Both go through one rotation-union kernel: the doubled mask
+d = m | m << p holds every cyclic rotation of the p-bit mask m in one
+window, so the rotation by k is the single shift d >> (p - k) and the
+rotation by -k is d >> k.  The shifts are ORed together and the bits at
+index >= p are cut off once, after the last one.
+
 All operations are pure functions of immutable inputs.
 """
 
@@ -104,9 +110,11 @@ class PrimeField:
     exp_table: tuple[int, ...]
     dlog_table: tuple[int, ...]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.p) - 1
+    def __post_init__(self) -> None:
+        # the mask of all of F_p, read on every sumset: computed once and kept
+        # in the instance __dict__ rather than in a field, so equality,
+        # hashing, repr and dataclasses.fields see only (p, g, tables)
+        self.__dict__["full_mask"] = (1 << self.p) - 1
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of nonzero x."""
@@ -233,34 +241,52 @@ def _rotate(mask: int, k: int, p: int, full: int) -> int:
     return ((mask << k) | (mask >> (p - k))) & full
 
 
+def _rotation_union(mask: int, ks: Iterable[int], p: int, full: int, sign: str) -> int:
+    """OR over k in ks (0 <= k <= p) of the cyclic rotation of a p-bit mask by +k or -k.
+
+    The doubled mask d = mask | mask << p holds every rotation: bit i -> bit
+    (i + k) mod p is d >> (p - k), bit i -> bit (i - k) mod p is d >> k.
+    Only the low p bits of each shift are wanted, so they are cut once, at
+    the end.
+    """
+    d = mask | mask << p
+    acc = 0
+    if sign == PLUS:
+        for k in ks:
+            acc |= d >> (p - k)
+    else:
+        for k in ks:
+            acc |= d >> k
+    return acc & full
+
+
 def sumset(A: FSet, B: FSet, sign: str = PLUS, method: str = "bitmask") -> FSet:
     """A + B or A - B in F_p.
 
     The bitmask method ORs cyclic rotations of A's mask, one per element
-    of B; the naive method is a double loop kept as the permanent oracle.
+    of B (see _rotation_union); the naive method is a double loop kept as
+    the permanent oracle.
     """
-    field = _require_same_field(A, B)
-    _require_nonempty(A, B)
+    field = A.field
+    if B.field is not field and B.field.p != field.p:
+        raise FieldMismatch(f"operands over p={field.p} and p={B.field.p}")
+    if not (A.card and B.card):
+        raise EmptyOperand("operation requires nonempty operands")
     if sign not in (PLUS, MINUS):
         raise ValueError(f"bad sign {sign!r}")
     p = field.p
-    if method == "naive":
-        if sign == PLUS:
-            out = {(a + b) % p for a in A for b in B}
-        else:
-            out = {(a - b) % p for a in A for b in B}
-        return field.fset(out)
-    if method != "bitmask":
+    if method == "bitmask":
+        if sign == PLUS and B.card > A.card:
+            A, B = B, A
+        acc = _rotation_union(A.mask, B.elements(), p, field.full_mask, sign)
+        return FSet(field, acc, acc.bit_count())  # rotations stay below bit p
+    if method != "naive":
         raise ValueError(f"bad method {method!r}")
-    if sign == PLUS and B.card > A.card:
-        A, B = B, A
-    full = field.full_mask
-    acc = 0
-    am = A.mask
-    s = 1 if sign == PLUS else -1
-    for b in B:
-        acc |= _rotate(am, s * b, p, full)
-    return field.fset_from_mask(acc)
+    if sign == PLUS:
+        out = {(a + b) % p for a in A for b in B}
+    else:
+        out = {(a - b) % p for a in A for b in B}
+    return field.fset(out)
 
 
 def negate(A: FSet) -> FSet:
@@ -297,25 +323,26 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
     cyclic sumset modulo p-1 and maps back; 0 enters the product set iff
     0 is in one operand (the other being nonempty per precondition).
     """
-    field = _require_same_field(A, B)
-    _require_nonempty(A, B)
+    field = A.field
+    if B.field is not field and B.field.p != field.p:
+        raise FieldMismatch(f"operands over p={field.p} and p={B.field.p}")
+    if not (A.card and B.card):
+        raise EmptyOperand("operation requires nonempty operands")
     p = field.p
     if method == "naive":
         return field.fset((a * b) % p for a in A for b in B)
     if method != "log":
         raise ValueError(f"bad method {method!r}")
     q = p - 1
-    full_q = (1 << q) - 1
     dlog = field.dlog_table
     la = 0
-    for a in A:
+    for a in A.elements():
         if a:
             la |= 1 << dlog[a]
     acc = 0
     if la:
-        for b in B:
-            if b:
-                acc |= _rotate(la, dlog[b], q, full_q)
+        ks = [dlog[b] for b in B.elements() if b]
+        acc = _rotation_union(la, ks, q, (1 << q) - 1, PLUS)
     exp = field.exp_table
     mask = (A.mask | B.mask) & 1  # 0 is in AB iff it is in A or in B
     logs = _bits(acc)
@@ -328,7 +355,7 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
         for k in logs:
             digits[p - 1 - exp[k]] = 49
         mask |= int(digits, 2)
-    return field.fset_from_mask(mask)
+    return FSet(field, mask, mask.bit_count())  # built from residues < p
 
 
 def _scaled_mask(u: int, A: FSet) -> int:

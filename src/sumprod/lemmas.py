@@ -124,34 +124,39 @@ def katz_shen_subset(
 
     Returns the X in B0 with |X| >= (1-eps)|B0| minimizing
     |X+B1+...+Bk| / (prod_i(|Bi+B0|/|B0|) * |X|), plus that minimum as an
-    exact rational.  Guarded to |B0| <= 14 and k <= 3 (exhaustive over
-    all 2^|B0| subsets).
+    exact rational; ties go to the X with the smaller mask, and with no Bi
+    the result is (B0, 1).  Guarded to |B0| <= 14 and k <= 3 (exhaustive
+    over all 2^|B0| subsets).
     """
     _require_nonempty(B0)
     field = _require_same_field(B0, *Bs) if Bs else B0.field
     eps = Fraction(eps)
-    if not 0 < eps < 1:
+    n, d = eps.numerator, eps.denominator  # d > 0
+    if not 0 < n < d:
         raise BadEpsilon(f"eps must be in (0, 1), got {eps}")
     _check_guard(B0.card <= KATZ_SHEN_MAX_BASE, f"|B0|={B0.card} exceeds exhaustive guard")
     _check_guard(len(Bs) <= KATZ_SHEN_MAX_TERMS, f"k={len(Bs)} exceeds exhaustive guard")
     if not Bs:
         return B0, Fraction(1)
-    min_card = max(1, math.ceil((1 - eps) * B0.card))
+    # ceil((1 - eps)|B0|) in integers
+    min_card = max(1, -((n - d) * B0.card // d))
     tail = signed_combination([(Bi, PLUS) for Bi in Bs])
-    denom = Fraction(1)
+    # prod_i |Bi+B0| / |B0|^k as an integer numerator and denominator
+    num = 1
     for Bi in Bs:
-        denom *= Fraction(sumset(Bi, B0).card, B0.card)
-    # denom is common to every X: cross-multiply |X+tail|/|X|; X = B0 comes first
+        num *= sumset(Bi, B0).card
+    den = B0.card ** len(Bs)
+    # the product is common to every X: cross-multiply |X+tail|/|X|; X = B0 comes first
     best_grown, best_card, best_mask = 0, 0, 0
     for sub in _submasks(B0.mask):
         card = sub.bit_count()
         if card < min_card:
             continue
-        grown = sumset(field.fset_from_mask(sub), tail).card
+        grown = sumset(FSet(field, sub, card), tail).card
         lhs, rhs = grown * best_card, best_grown * card
         if best_card == 0 or lhs < rhs or (lhs == rhs and sub < best_mask):
             best_grown, best_card, best_mask = grown, card, sub
-    return field.fset_from_mask(best_mask), best_grown / (denom * best_card)
+    return FSet(field, best_mask, best_card), Fraction(best_grown * den, num * best_card)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,22 @@ class TestMakeField:
             x = rng.randrange(1, field.p)
             assert field.exp_table[field.dlog_table[x]] == x
 
+    def test_full_mask_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(core.PrimeField)] == [
+            "p", "g", "exp_table", "dlog_table"]
+        for p in (3, 7, 65521):
+            F = make_field(p)
+            assert F.full_mask == (1 << p) - 1
+            assert repr(F) == f"PrimeField(p={p}, g={F.g})"
+            twin = core.PrimeField(F.p, F.g, F.exp_table, F.dlog_table)
+            twin.__dict__["full_mask"] = 0
+            assert twin == F and hash(twin) == hash(F)
+            back = pickle.loads(pickle.dumps(F))
+            assert back == F and back.full_mask == F.full_mask
+        F = make_field(65521)
+        assert F.full_mask is F.full_mask  # computed once, not on each read
+        assert "full_mask" not in dataclasses.asdict(make_field(7))
+
     def test_inverse(self):
         for x in range(1, 7):
             assert F7.inv(x) * x % 7 == 1
@@ -182,6 +198,86 @@ class TestRatioSet:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             ratio_set(F7.fset([3]))
+
+
+def _naive_ratio_set(A):
+    p = A.field.p
+    return A.field.fset((a - b) * A.field.inv(c - d) % p
+                        for a in A for b in A for c in A for d in A if c != d)
+
+
+def _kernel_operands(p):
+    """Operand pairs with 0 and p - 1, |B| > |A|, and the full set."""
+    F = make_field(p)
+    rng = random.Random(p)
+    small = F.fset([0, p - 1])
+    mid = F.fset(rng.sample(range(p), min(p, 5)) + [0, p - 1])
+    wide = F.fset(rng.sample(range(p), min(p - 1, 40)))
+    full = F.full_set()
+    top = F.fset([p - 1])
+    return [(small, mid), (mid, small), (top, wide), (wide, top), (small, full), (full, mid),
+            (F.fset([0]), wide), (full, full) if p < 100 else (top, full)]
+
+
+def _assert_kernel_output(S, p):
+    assert S.mask >= 0 and S.mask >> p == 0  # no bit at index >= p
+    assert S.card == S.mask.bit_count()
+
+
+class TestKernelOutput:
+    """Sets built by the rotation kernel are valid masks and match the naive oracles."""
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 65521])
+    def test_sumset_and_product_set(self, p):
+        for A, B in _kernel_operands(p):
+            for sign in (PLUS, MINUS):
+                S = sumset(A, B, sign)
+                _assert_kernel_output(S, p)
+                assert S == sumset(A, B, sign, method="naive")
+            P = product_set(A, B)
+            _assert_kernel_output(P, p)
+            assert P == product_set(A, B, method="naive")
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 65521])
+    def test_signed_combination_and_ratio_set(self, p):
+        F = make_field(p)
+        for A, B in _kernel_operands(p):
+            terms = [(A, MINUS), (B, PLUS), (F.fset([p - 1]), MINUS)]
+            S = signed_combination(terms)
+            _assert_kernel_output(S, p)
+            naive = F.fset((-a) % p for a in A)
+            for T, sign in terms[1:]:
+                naive = sumset(naive, T, sign, method="naive")
+            assert S == naive
+            if 2 <= A.card <= 8:
+                R = ratio_set(A)
+                _assert_kernel_output(R, p)
+                assert R == _naive_ratio_set(A)
+        R = ratio_set(F.full_set())
+        _assert_kernel_output(R, p)
+        assert R == F.full_set()
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 65521])
+    def test_fset_from_mask_still_validates(self, p):
+        F = make_field(p)
+        assert F.fset_from_mask(F.full_mask).card == p
+        with pytest.raises(ValueError, match="mask must be nonnegative"):
+            F.fset_from_mask(-1)
+        with pytest.raises(ValueError, match="mask has bits at index >= p"):
+            F.fset_from_mask(1 << p)
+
+    def test_operand_errors_unchanged(self):
+        A7, A5, E7 = F7.fset([1, 2]), F5.fset([1]), F7.fset([])
+        for op in (sumset, lambda A, B: sumset(A, B, MINUS), product_set):
+            with pytest.raises(FieldMismatch) as exc:
+                op(A7, A5)
+            assert str(exc.value) == "operands over p=7 and p=5"
+            for A, B in ((E7, A7), (A7, E7)):
+                with pytest.raises(EmptyOperand) as exc:
+                    op(A, B)
+                assert str(exc.value) == "operation requires nonempty operands"
+        with pytest.raises(FieldMismatch):  # the field test comes first
+            sumset(E7, F5.fset([]))
 
 
 class TestDilate:

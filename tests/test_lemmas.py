@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -104,6 +105,53 @@ class TestKatzShen:
             katz_shen_subset(wide, [wide], Fraction(1, 4))
         with pytest.raises(GuardExceeded):
             katz_shen_subset(big, [big] * 4, Fraction(1, 4))
+
+
+def _katz_shen_oracle(B0, Bs, eps):
+    """The docstring formula over every subset of B0, with plain Python sets."""
+    p = B0.field.p
+    els = sorted(B0)
+    tail = {0}
+    for Bi in Bs:
+        tail = {(t + b) % p for t in tail for b in Bi}
+    scale = Fraction(1)
+    for Bi in Bs:
+        scale *= Fraction(len({(a + b) % p for a in els for b in Bi}), len(els))
+    best = None
+    for r in range(1, len(els) + 1):
+        if r < (1 - Fraction(eps)) * len(els):
+            continue
+        for X in itertools.combinations(els, r):
+            grown = len({(x + t) % p for x in X for t in tail})
+            key = (grown / (scale * r), sum(1 << x for x in X))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@st.composite
+def _katz_shen_instance(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    field = make_field(p)
+    elems = st.integers(0, p - 1)
+    B0 = field.fset(draw(st.sets(elems, min_size=1, max_size=min(p, 8))))
+    k = draw(st.integers(1, 3))
+    Bs = [field.fset(draw(st.sets(elems, min_size=1, max_size=p))) for _ in range(k)]
+    eps = draw(st.one_of(
+        st.just(1 - math.sqrt(2) / 2),  # the chains' extraction eps
+        st.fractions(Fraction(1, 60), Fraction(59, 60), max_denominator=60)))
+    return B0, Bs, eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(_katz_shen_instance())
+def test_katz_shen_subset_matches_exhaustive_oracle(inst):
+    B0, Bs, eps = inst
+    X, ratio = katz_shen_subset(B0, Bs, eps)
+    want_ratio, want_mask = _katz_shen_oracle(B0, Bs, eps)
+    assert (ratio, X.mask) == (want_ratio, want_mask)
+    assert type(ratio) is Fraction and X.card == X.mask.bit_count()
+    assert katz_shen_subset(B0, [], eps) == (B0, 1)
 
 
 class TestGkWitness:
