@@ -45,7 +45,8 @@ LN100 = math.log(100.0)
 KATZ_SHEN_MAX_BASE = 14
 KATZ_SHEN_MAX_TERMS = 3
 # gk_witness scores each t of R(A1) with |A1| rotations of a p-bit mask; a
-# random 16-set at p = 65521 (|R| = 23,459: 375k rotations) takes about 10 s.
+# random 16-set at p = 65521 (|R| about 23,300: 373k rotations) takes 5.6-7.1 s
+# of CPU time on a shared 2-core x86-64 host.
 GK_MAX_ROTATIONS = 1 << 19
 
 # max_j 16^j |Y_j|^3  >=  CHANG_CONSTANT * Ex(Y,Z)^4 / (|Y|^4 * max(m, |Z|))

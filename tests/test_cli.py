@@ -267,6 +267,26 @@ def test_invariant_violation_is_one_under_optimize():
     assert proc.stderr == "exact invariant violated: covering budget exceeded\n"
 
 
+@pytest.mark.parametrize(
+    "offset, message",
+    [("0.4", "FFT pair counts are not within 1/4 of integers"),
+     ("1.0", "FFT pair counts do not add up to the pair total")],
+)
+def test_fft_checks_hold_under_optimize(offset, message):
+    # 64^2 pairs mod 101 cross the FFT threshold 16 * 256; a shifted irfft must be caught
+    code = (
+        "import sys, numpy.fft, sumprod.cli\n"
+        "assert False, 'asserts must be stripped'\n"
+        "irfft = numpy.fft.irfft\n"
+        f"numpy.fft.irfft = lambda *a: irfft(*a) + {offset}\n"
+        "sys.exit(sumprod.cli.run(['energy', '--p', '101', '--y', 'ap:0,1,64', '--z', '0,1', '--kind', 'add']))"
+    )
+    proc = _python("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"exact invariant violated: {message}\n"
+
+
 CORE = ("sumprod", "sumprod.core", "sumprod.errors")
 # What a fresh interpreter loads: the sumprod modules exactly, for a statement
 # or for one `python -m sumprod.cli` run of a golden invocation per subcommand.

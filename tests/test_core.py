@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 
@@ -32,6 +33,7 @@ from sumprod.errors import (
     TooSmall,
     ZeroDilation,
 )
+from sumprod.lemmas import xi_search
 from sumprod.search import canonical_form
 
 F5 = make_field(5)
@@ -125,6 +127,20 @@ class TestFSet:
             for s in (decoded, fresh):
                 back = pickle.loads(pickle.dumps(s))
                 assert back == s and back.card == s.card and tuple(back) == tuple(s)
+
+    def test_init_keeps_the_frozen_dataclass_behaviour(self):
+        A = core.FSet(F7, 0b110, 2)
+        assert vars(A) == {"field": F7, "mask": 0b110, "card": 2}
+        assert core.FSet(field=F7, mask=0b110, card=2) == A == F7.fset([1, 2])
+        for name in ("field", "mask", "card", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(A, name, 0)
+        assert [f.name for f in dataclasses.fields(A)] == ["field", "mask", "card"]
+        B = dataclasses.replace(A, mask=0b1000, card=1)
+        assert (B.field, B.mask, B.card) == (F7, 0b1000, 1) and B == F7.fset([3])
+        assert A.mask == 0b110 and tuple(A) == (1, 2)
+        assert hash(A) == hash((7, 0b110)) and repr(A) == "FSet(p=7, {1, 2})"
+        assert A != F5.fset([1, 2]) and A != (F7, 0b110, 2)
 
     def test_canonical_form_decodes_once(self, monkeypatch):
         # the p - 2 dilates each iterate A; only the first iteration decodes its mask
@@ -373,6 +389,93 @@ class TestPairCounts:
         xw = [rng.randrange(100) for _ in range(53)]
         assert pair_counts(xs, ys, 101) == _loop_pair_counts(xs, ys, 101)
         assert pair_counts(xs, ys, 101, xw) == _loop_pair_counts(xs, ys, 101, xw)
+
+
+def _fft_calls(monkeypatch):
+    """Record whether each _fft_pair_hist call counted (True) or left the input to np.add.at (None)."""
+    calls, fft = [], core._fft_pair_hist
+
+    def spy(*args):
+        out = fft(*args)
+        calls.append(None if out is None else True)
+        return out
+
+    monkeypatch.setattr(core, "_fft_pair_hist", spy)
+    return calls
+
+
+class TestFftPairHist:
+    @pytest.mark.parametrize("m", [3, 101, 4098, 4099])
+    def test_both_sides_of_crossover_match_loop(self, monkeypatch, m):
+        # n_fft = 8, 256, 16384, 16384: the FFT takes over at 1024, 4096, 262144 and 262144 pairs
+        n_fft = 1 << (2 * m - 1).bit_length()
+        start = max(core._FFT_PAIRS_PER_BIN * n_fft, core._NUMPY_PAIR_THRESHOLD)
+        calls = _fft_calls(monkeypatch)
+        rng = random.Random(m)
+        below = math.isqrt(start - 1)
+        for k, fft in ((below, False), (below + 1, True)):
+            # repeated and negative entries, with weights that repeat them further
+            xs = [rng.randrange(-2 * m, 2 * m) for _ in range(k)]
+            ys = [rng.randrange(-2 * m, 2 * m) for _ in range(k)]
+            xw = [rng.randrange(1000) for _ in range(k)]
+            yw = [rng.randrange(1000) for _ in range(k)]
+            calls.clear()
+            assert pair_counts(xs, ys, m) == _loop_pair_counts(xs, ys, m)
+            assert pair_counts(xs, ys, m, xw, yw) == _loop_pair_counts(xs, ys, m, xw, yw)
+            assert pair_counts(ys, ys, m, yw, yw) == _loop_pair_counts(ys, ys, m, yw, yw)
+            assert calls == ([True] * 3 if fft else [])
+
+    @pytest.mark.parametrize("m", [65520, 65521])
+    def test_matches_add_at_branch(self, monkeypatch, m):
+        rng = random.Random(m)
+        xs = [rng.randrange(-m, 2 * m) for _ in range(1500)]
+        ys = [rng.randrange(m) for _ in range(1450)]  # 2,175,000 >= 16 * 2^17 pairs
+        xw, yw = [rng.randrange(50) for _ in xs], [rng.randrange(50) for _ in ys]
+        calls = _fft_calls(monkeypatch)
+        ffts = [core._pair_hist(xs, ys, m), core._pair_hist(xs, ys, m, xw, yw), core._pair_hist(xs, xs, m)]
+        monkeypatch.setattr(core, "_FFT_PAIRS_PER_BIN", 1 << 40)
+        add_at = [core._pair_hist(xs, ys, m), core._pair_hist(xs, ys, m, xw, yw), core._pair_hist(xs, xs, m)]
+        assert calls == [True] * 3
+        for got, want in zip(ffts, add_at):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_autocorrelation_transforms_once(self, monkeypatch):
+        import numpy.fft
+
+        rng = random.Random(7)
+        xs = [rng.randrange(-300, 300) for _ in range(80)]
+        xw = [rng.randrange(1, 9) for _ in xs]
+        forward, rfft = [], numpy.fft.rfft
+        monkeypatch.setattr(numpy.fft, "rfft", lambda *a: forward.append(1) or rfft(*a))
+        for weights in ((None, None), (xw, xw)):
+            forward.clear()
+            same = pair_counts(xs, xs, 101, *weights)
+            assert len(forward) == 1
+            copies = [None if w is None else list(w) for w in weights]
+            assert same == pair_counts(xs, list(xs), 101, *copies) == _loop_pair_counts(xs, xs, 101, *weights)
+            assert len(forward) == 3
+
+    def test_over_norm_limit_takes_add_at(self, monkeypatch):
+        rng = random.Random(11)
+        xs = [rng.randrange(101) for _ in range(70)]
+        ys = [rng.randrange(101) for _ in range(60)]  # 4200 >= 16 * 256 pairs
+        calls = _fft_calls(monkeypatch)
+        limit = 70 * 60  # sum u^2 >= 70 and sum v^2 >= 60: u.u * v.v reaches it
+        for bound, taken in ((limit, None), (70**2 * 60**2 + 1, True)):
+            monkeypatch.setattr(core, "_FFT_NORM_LIMIT", bound)
+            calls.clear()
+            assert pair_counts(xs, ys, 101) == _loop_pair_counts(xs, ys, 101)
+            assert calls == [taken]
+
+    def test_xi_search_matches_add_at_branch(self, monkeypatch):
+        F = make_field(65521)
+        A = F.fset(random.Random(64).sample(range(1, 65521), 64))
+        calls = _fft_calls(monkeypatch)
+        fft = xi_search(A)
+        assert calls == [True]  # |(A-A)*|^2 ~ 4032^2 pairs mod 65520
+        monkeypatch.setattr(core, "_FFT_PAIRS_PER_BIN", 1 << 40)
+        assert xi_search(A) == fft
+        assert calls == [True]
 
 
 def _loop_energy(ys, zs, m):
