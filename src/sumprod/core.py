@@ -506,24 +506,23 @@ def _fft_pair_hist(xs: Sequence[int], ys: Sequence[int], m: int, n: int, xw, yw)
     return counts
 
 
-def pair_energy(ys: Sequence[int], zs: Sequence[int], m: int) -> int:
-    """Sum over k mod m of r_Y(k) * r_Z(k), with r_X(k) = #{(x, x') in X^2 : x - x' = k mod m}.
+def pair_energy(ys: Sequence[int], zs: Sequence[int], m: int) -> tuple[int, int]:
+    """(sum over k of c(k)^2, #{k : c(k) > 0}) for c = pair_counts(ys, zs, m).
 
-    While each histogram counts fewer than _NUMPY_PAIR_THRESHOLD pairs the
-    differences go into a dict and only the keys present are summed; from
-    there on both come from _pair_hist and meet in one int64 dot, which is
-    exact while |Y|^2 * max r_Z < _INT64_LIMIT (every term is nonnegative),
-    and are summed in Python ints beyond.  zs equal to ys is counted once.
+    As y - z = y' - z' exactly when y - y' = z - z', the sum is the energy
+    sum_k r_Y(k) r_Z(k) with r_X(k) = #{(x, x') in X^2 : x - x' = k mod m}.
+    Below _NUMPY_PAIR_THRESHOLD pairs c is a dict; from there on it comes from
+    _pair_hist, and its int64 dot is exact while |Y||Z| * max c < _INT64_LIMIT
+    (sum c = |Y||Z|), with a sum of Python ints beyond.
     """
     if not (ys and zs):
-        return 0
-    same = zs is ys or zs == ys
-    if max(len(ys), len(zs)) ** 2 < _NUMPY_PAIR_THRESHOLD:
-        ry = Counter((x - y) % m for x in ys for y in ys)
-        rz = ry if same else Counter((x - y) % m for x in zs for y in zs)
-        return sum(c * rz.get(k, 0) for k, c in ry.items())
-    ry = _pair_hist(ys, ys, m)
-    rz = ry if same else _pair_hist(zs, zs, m)
-    if len(ys) ** 2 * int(rz.max()) < _INT64_LIMIT:
-        return int(ry @ rz)
-    return sum(map(mul, ry.tolist(), rz.tolist()))
+        return 0, 0
+    if len(ys) * len(zs) < _NUMPY_PAIR_THRESHOLD:
+        c = Counter((y - z) % m for y in ys for z in zs)
+        return sum(map(mul, c.values(), c.values())), len(c)
+    c = _pair_hist(ys, zs, m)
+    support = int((c > 0).sum())
+    if len(ys) * len(zs) * int(c.max()) < _INT64_LIMIT:
+        return int(c @ c), support
+    c = c.tolist()
+    return sum(map(mul, c, c)), support

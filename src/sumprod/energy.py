@@ -57,61 +57,60 @@ def intersection_count(x: int, y: int, Z: FSet, kind: str) -> int:
     raise ValueError(f"bad kind {kind!r}")
 
 
-def _additive_naive(Y: FSet, Z: FSet) -> int:
+def _additive_naive(Y: FSet, Z: FSet) -> tuple[int, int]:
     field = Y.field
     p, full = field.p, field.full_mask
     shifted = [_rotate(Z.mask, y, p, full) for y in Y]
-    return sum((m1 & m2).bit_count() for m1 in shifted for m2 in shifted)
+    return sum((m1 & m2).bit_count() for m1 in shifted for m2 in shifted), sumset(Y, Z).card
 
 
-def _additive_convolution(Y: FSet, Z: FSet) -> int:
-    return pair_energy(Y.elements(), Z.elements(), Y.field.p)
+def _additive_convolution(Y: FSet, Z: FSet) -> tuple[int, int]:
+    # Z negated: the histogram counts sums, so its support is Y + Z
+    return pair_energy(Y.elements(), [-z for z in Z], Y.field.p)
 
 
-def _mult_naive(Y: FSet, Z: FSet) -> int:
+def _mult_naive(Y: FSet, Z: FSet) -> tuple[int, int]:
     masks = [_scaled_mask(y, Z) for y in Y]
-    return sum((m1 & m2).bit_count() for m1 in masks for m2 in masks)
+    return sum((m1 & m2).bit_count() for m1 in masks for m2 in masks), product_set(Y, Z).card
 
 
-def _mult_convolution(Y: FSet, Z: FSet) -> int:
-    # Nonzero part via the dlog reduction to a cyclic convolution mod p-1;
-    # rows and columns touching 0 are added back by a closed-form count.
+def _mult_convolution(Y: FSet, Z: FSet) -> tuple[int, int]:
+    # Nonzero part via the dlog reduction to a cyclic convolution mod p-1, Z's
+    # logs negated so its support is Y*Z*; 0's rows, columns and product in closed form.
     field = Y.field
     q = field.p - 1
     ly = [field.dlog_table[y] for y in Y if y]
-    lz = [field.dlog_table[z] for z in Z if z]
-    zy = 1 if 0 in Y else 0
-    zz = 1 if 0 in Z else 0
-    total = pair_energy(ly, lz, q)
+    lz = [-field.dlog_table[z] for z in Z if z]
+    zy, zz = 0 in Y, 0 in Z
+    total, support = pair_energy(ly, lz, q)
     if zz:
         total += len(ly) ** 2
     if zy:
         total += 1 + 2 * zz * len(ly)
-    return total
+    return total, support + (zy | zz)
 
 
-def _energy(kind: str, Y: FSet, Z: FSet, method: str, naive, convolution, op) -> EnergyReport:
-    """The report of one energy: `naive` or `convolution` value, `op` for the floor."""
+def _energy(kind: str, Y: FSet, Z: FSet, method: str, naive, convolution) -> EnergyReport:
+    """The report of one energy from the (value, |Y op Z|) of `naive` or `convolution`."""
     _require_same_field(Y, Z)
     _require_nonempty(Y, Z)
     if method == "naive":
-        value = naive(Y, Z)
+        value, op_card = naive(Y, Z)
     elif method == "convolution":
-        value = convolution(Y, Z)
+        value, op_card = convolution(Y, Z)
     else:
         raise ValueError(f"bad method {method!r}")
-    op_card = op(Y, Z).card
     return EnergyReport(kind, value, Y.card**2 * Z.card**2, op_card, Y.card, Z.card, op_card)
 
 
 def additive_energy(Y: FSet, Z: FSet, method: str = "convolution") -> EnergyReport:
     """E+(Y,Z) = sum over (x,y) in Y^2 of |(x+Z) cap (y+Z)|, exactly."""
-    return _energy(ADDITIVE, Y, Z, method, _additive_naive, _additive_convolution, sumset)
+    return _energy(ADDITIVE, Y, Z, method, _additive_naive, _additive_convolution)
 
 
 def multiplicative_energy(Y: FSet, Z: FSet, method: str = "convolution") -> EnergyReport:
     """Ex(Y,Z) = sum over (x,y) in Y^2 of |xZ cap yZ|, exactly (0*Z = {0})."""
-    return _energy(MULTIPLICATIVE, Y, Z, method, _mult_naive, _mult_convolution, product_set)
+    return _energy(MULTIPLICATIVE, Y, Z, method, _mult_naive, _mult_convolution)
 
 
 def energy(Y: FSet, Z: FSet, kind: str, method: str = "convolution") -> EnergyReport:

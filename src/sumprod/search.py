@@ -145,6 +145,16 @@ def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
         raise BadParameters("checkpoint does not match this search")
     if not 0 <= state["cursor"] <= total:
         raise BadParameters(f"checkpoint cursor {state['cursor']} is outside [0, {total}]")
+    if not 0 <= state["classes_visited"] <= state["cursor"]:
+        raise BadParameters("checkpoint classes_visited is outside [0, cursor]")
+    if (state["best_value"] is None) != (not state["witnesses"]):
+        raise BadParameters("checkpoint best_value and witnesses must be both empty or both set")
+    field = make_field(p)
+    for m in state["witnesses"]:
+        if not (0 <= m < 1 << p and m.bit_count() == n):
+            raise BadParameters(f"checkpoint witness {m} is not a mask of {n} elements of F_{p}")
+        if objective(field.fset_from_mask(m)) != state["best_value"]:
+            raise BadParameters(f"checkpoint witness {m} does not reach best_value")
     return state
 
 

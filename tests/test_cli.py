@@ -152,6 +152,9 @@ class TestExitCodes:
         # a complete state from before the version field
         {"p": 13, "n": 4, "mode": "exhaustive", "cursor": 10, "best_value": 7,
          "witnesses": [15], "seed": None, "classes_visited": 1},
+        # well typed at the final cursor, but {0, 1, 2, 3} has objective 7, not 1
+        {"version": 2, "p": 13, "n": 4, "mode": "exhaustive", "cursor": 220, "best_value": 1,
+         "witnesses": [15], "classes_visited": 1},
     ])
     def test_bad_checkpoint_is_two(self, tmp_path, capsys, state):
         ck = tmp_path / "ck.json"
@@ -236,7 +239,7 @@ def test_rep_subcommand(capsys):
 
 @pytest.mark.parametrize("kind", ["add", "mult"])
 def test_energy_json_value_is_int_at_large_p(kind, capsys):
-    # 40 and 50 elements: both histograms count 1024 pairs or more, so numpy counts them
+    # 40 x 50 elements: the histogram counts 2000 pairs, 1024 or more, so numpy counts them
     values = []
     for method in ("convolution", "naive"):
         assert run(["energy", "--p", "65521", "--y", "ap:1,3,40", "--z", "gp:2,3,50",
@@ -273,13 +276,13 @@ def test_invariant_violation_is_one_under_optimize():
      ("1.0", "FFT pair counts do not add up to the pair total")],
 )
 def test_fft_checks_hold_under_optimize(offset, message):
-    # 64^2 pairs mod 101 cross the FFT threshold 16 * 256; a shifted irfft must be caught
+    # 64 x 64 pairs mod 101 cross the FFT threshold 16 * 256; a shifted irfft must be caught
     code = (
         "import sys, numpy.fft, sumprod.cli\n"
         "assert False, 'asserts must be stripped'\n"
         "irfft = numpy.fft.irfft\n"
         f"numpy.fft.irfft = lambda *a: irfft(*a) + {offset}\n"
-        "sys.exit(sumprod.cli.run(['energy', '--p', '101', '--y', 'ap:0,1,64', '--z', '0,1', '--kind', 'add']))"
+        "sys.exit(sumprod.cli.run(['energy', '--p', '101', '--y', 'ap:0,1,64', '--z', 'ap:0,1,64', '--kind', 'add']))"
     )
     proc = _python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr

@@ -479,12 +479,15 @@ class TestFftPairHist:
 
 
 def _loop_energy(ys, zs, m):
-    return sum(a * b for a, b in zip(_loop_pair_counts(ys, ys, m), _loop_pair_counts(zs, zs, m)))
+    """(sum of r_Y * r_Z, the number of distinct y - z mod m), by loops."""
+    value = sum(a * b for a, b in zip(_loop_pair_counts(ys, ys, m), _loop_pair_counts(zs, zs, m)))
+    return value, len({(y - z) % m for y in ys for z in zs})
 
 
 class TestPairEnergy:
-    # 31 entries count 961 pairs in a dict, 32 count 1024 through numpy
-    @pytest.mark.parametrize("ny, nz", [(1, 1), (31, 31), (32, 32), (31, 32), (3, 40), (70, 5)])
+    # below 1024 pairs a dict counts them (31 x 31, 31 x 32, 17 x 60), from 1024 on numpy
+    @pytest.mark.parametrize("ny, nz", [(1, 1), (31, 31), (32, 32), (31, 32), (3, 40), (70, 5),
+                                        (16, 64), (17, 60)])
     @pytest.mark.parametrize("m", [1, 2, 127, 1009, 65520])
     def test_matches_loop(self, ny, nz, m):
         rng = random.Random(ny * 1000 + nz)
@@ -493,21 +496,22 @@ class TestPairEnergy:
         for a, b in ((ys, zs), (zs, ys), (ys, ys), (ys, list(ys))):
             got = pair_energy(a, b, m)
             assert got == _loop_energy(a, b, m)
-            assert type(got) is int
+            assert [type(v) for v in got] == [int, int]
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_repeated_entries(self, k):
-        # multiplicities a, b at 3, 5 and c, d at 1, 3: differences 0 and +-2 mod 7
+        # multiplicities a, b at 3, 5 and c, d at 1, 3: y - y' is 0 or +-2 mod 7, y - z is 0, 2 or 4
         a, b, c, d = 10 * k, 5 * k, 4 * k, 2 * k
         ys, zs = [3] * a + [5] * b, [1] * c + [3] * d
         want = (a * a + b * b) * (c * c + d * d) + 2 * a * b * c * d
-        assert pair_energy(ys, zs, 7) == _loop_energy(ys, zs, 7) == want
+        assert pair_energy(ys, zs, 7) == _loop_energy(ys, zs, 7) == (want, 3)
 
     def test_empty_operand(self):
-        assert pair_energy([], [1, 2], 7) == pair_energy(list(range(40)), [], 7) == 0
+        assert pair_energy([], [1, 2], 7) == pair_energy(list(range(40)), [], 7) == (0, 0)
 
     def test_python_int_sum_beyond_int64_bound(self, monkeypatch):
-        # 40 distinct residues: r(0) = 40 is the largest count, so the dot's bound is 40^2 * 40
+        # 40 x 40 pairs of distinct residues whose largest count is 40 (y - z = 0, resp. -7),
+        # so the dot's bound is 40 * 40 * 40 for both zs
         ys = list(range(0, 400, 10))
         summed = []
         monkeypatch.setattr(core, "mul", lambda a, b: summed.append(1) or a * b)
@@ -517,7 +521,7 @@ class TestPairEnergy:
             for zs in (ys, list(range(7, 407, 10))):
                 got = pair_energy(ys, zs, 1009)
                 assert got == _loop_energy(ys, zs, 1009)
-                assert type(got) is int
+                assert [type(v) for v in got] == [int, int]
             assert bool(summed) == python_ints
 
 

@@ -1,8 +1,11 @@
+import importlib
 import random
+from operator import mul
 
 import pytest
 
-from sumprod.core import make_field
+from sumprod import core
+from sumprod.core import make_field, pair_counts, product_set, sumset
 from sumprod.energy import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -109,3 +112,51 @@ def test_additive_floor_always_holds_even_with_zero():
         Y = field.fset(rng.sample(range(p), rng.randint(1, p)))
         Z = field.fset(rng.sample(range(p), rng.randint(1, p)))
         assert additive_energy(Y, Z).meets_floor
+
+
+F65521 = make_field(65521)
+energy_module = importlib.import_module("sumprod.energy")  # sumprod.energy is the function
+
+
+def _two_histogram_value(kind, Y, Z):
+    """The energy as the sum of r_Y * r_Z over two difference histograms."""
+    if kind == ADDITIVE:
+        ys, zs, m = list(Y), list(Z), F65521.p
+    else:
+        ys, zs = ([F65521.dlog_table[x] for x in X if x] for X in (Y, Z))
+        m = F65521.p - 1
+    value = sum(map(mul, pair_counts(ys, ys, m), pair_counts(zs, zs, m)))
+    if kind == MULTIPLICATIVE:
+        # |xZ cap yZ| with 0Z = {0}: 0 is common to x, y != 0 when 0 is in Z,
+        # |{0} cap {0}| = 1, and |{0} cap yZ| is 1 when 0 is in Z
+        zy, zz = 0 in Y, 0 in Z
+        value += zz * len(ys) ** 2 + zy * (1 + 2 * zz * len(ys))
+    return value
+
+
+# 16 x 16 pairs go into a dict, 512 x 512 through np.add.at, 2048 x 2048 through the FFT
+@pytest.mark.parametrize("n, hists", [(16, []), (512, ["_pair_hist"]),
+                                      (2048, ["_pair_hist", "_fft_pair_hist"])])
+@pytest.mark.parametrize("zeros, same", [("", True), ("YZ", True), ("", False), ("Y", False),
+                                         ("Z", False)])
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+def test_convolution_at_large_p_matches_two_histograms_and_op_set(
+    monkeypatch, kind, zeros, same, n, hists
+):
+    # n elements each, 0 among them in the sets named by zeros; Z is Y itself when same
+    rng = random.Random(n)
+    Y, Z = (F65521.fset(rng.sample(range(1, F65521.p), n - (s in zeros)) + [0] * (s in zeros))
+            for s in "YZ")
+    Z = Y if same else Z
+    ops = []
+    monkeypatch.setattr(energy_module, "sumset", lambda *a: ops.append("sumset"))
+    monkeypatch.setattr(energy_module, "product_set", lambda *a: ops.append("product_set"))
+    seen = []
+    for name in ("_pair_hist", "_fft_pair_hist"):
+        kernel = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, k=kernel, name=name: seen.append(name) or k(*a))
+    report = energy(Y, Z, kind)
+    assert (ops, seen) == ([], hists)
+    assert (report.y_card, report.z_card) == (n, n)
+    assert report.value == _two_histogram_value(kind, Y, Z)
+    assert report.op_card == (sumset if kind == ADDITIVE else product_set)(Y, Z).card

@@ -16,6 +16,7 @@ from sumprod.search import (
 
 F5 = make_field(5)
 F7 = make_field(7)
+DROP = object()  # a checkpoint edit that deletes the key
 
 
 def naive_minimum(p: int, n: int) -> int:
@@ -134,21 +135,33 @@ class TestExhaustive:
         assert exhaustive_extremal(11, 3, workers=1, checkpoint_path=str(ck)) == full
 
     @pytest.mark.parametrize("edit", [
-        {"version": None},  # written before versions: the cursor counted all n-subsets
+        {"version": DROP},  # written before versions: the cursor counted all n-subsets
         {"version": 1},
-        {"cursor": None},
+        {"cursor": DROP},
         {"cursor": "3"},
         {"cursor": True},
         {"cursor": 46},
         {"witnesses": [1.5]},
         {"best_value": "5"},
+        # well typed but inconsistent with the search; the written state has
+        # cursor 30, best_value 5 and witnesses [7, 1027, 42, 146]
+        {"best_value": None},
+        {"witnesses": []},
+        {"witnesses": [-7]},
+        {"witnesses": [1 << 11 | 3]},
+        {"witnesses": [15]},
+        {"best_value": 6},
+        {"classes_visited": -5},
+        {"classes_visited": 31},
     ])
     def test_bad_checkpoint(self, tmp_path, edit):
         ck = tmp_path / "ck.json"
         exhaustive_extremal(11, 3, checkpoint_path=str(ck), max_steps=30)
         state = json.loads(ck.read_text())
+        assert (state["cursor"], state["best_value"]) == (30, 5)
+        assert state["witnesses"] == [7, 1027, 42, 146]
         for key, value in edit.items():
-            if value is None:
+            if value is DROP:
                 del state[key]
             else:
                 state[key] = value
