@@ -16,6 +16,7 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,8 +41,13 @@ MINUS = "minus"
 # of RSS (0.5 s) at p = 1048573 and grow linearly beyond.
 MAX_FIELD_P = 1 << 20
 
-# pair count from which numpy beats the pure-Python loop
+# pair count from which numpy beats the pure-Python loop, once it is imported
 _NUMPY_PAIR_THRESHOLD = 1024
+# pair count from which a process that has not loaded numpy gains by importing
+# it: on a shared 2-core x86-64 host with numpy 2.4, importing numpy and
+# numpy.fft took 72-92 ms of CPU, pair_counts' loop 123-160 ns per pair and
+# pair_energy's Counter 185-210 ns, so they break even near 2^19 pairs
+_NUMPY_COLD_PAIRS = 1 << 19
 # pairs per numpy block, so the int64 difference block stays at 32 MB
 _PAIR_BLOCK = 1 << 22
 # pairs per FFT bin from which one FFT correlation beats np.add.at: measured
@@ -104,6 +110,12 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(k)
         k = bits.find("1", k + 1)
     return tuple(out)
+
+
+def _numpy_pays(pairs: int) -> bool:
+    """Whether numpy takes a kernel of `pairs` pairs: from _NUMPY_PAIR_THRESHOLD on
+    once numpy is imported, else from _NUMPY_COLD_PAIRS on.  Both branches are exact."""
+    return pairs >= (_NUMPY_PAIR_THRESHOLD if "numpy" in sys.modules else _NUMPY_COLD_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -338,8 +350,9 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
     """AB = {ab mod p}.
 
     The log method strips 0, maps nonzero elements through dlog, takes a
-    cyclic sumset modulo p-1 and maps back; 0 enters the product set iff
-    0 is in one operand (the other being nonempty per precondition).
+    cyclic sumset modulo p-1 and maps back (a dense result through numpy
+    when _numpy_pays, see _exp_mask); 0 enters the product set iff 0 is in
+    one operand (the other being nonempty per precondition).
     """
     field = A.field
     if B.field is not field and B.field.p != field.p:
@@ -363,17 +376,41 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
         acc = _rotation_union(la, ks, q, (1 << q) - 1, PLUS)
     exp = field.exp_table
     mask = (A.mask | B.mask) & 1  # 0 is in AB iff it is in A or in B
-    logs = _bits(acc)
-    if len(logs) < _DENSE_BITS:  # encode a few elements one at a time, more in one O(p) pass
-        for k in logs:
+    # a few elements are encoded one at a time; more by numpy where it pays,
+    # or else in one O(p) pass
+    if acc.bit_count() < _DENSE_BITS:
+        for k in _bits(acc):
             mask |= 1 << exp[k]
+    elif _numpy_pays(la.bit_count() * len(ks)):
+        mask |= _exp_mask(field, acc)
     else:
         # one pass: binary digit exp[k] is 1 for every log k
         digits = bytearray(b"0" * p)
-        for k in logs:
+        for k in _bits(acc):
             digits[p - 1 - exp[k]] = 49
         mask |= int(digits, 2)
     return FSet(field, mask, mask.bit_count())  # built from residues < p
+
+
+def _exp_mask(field: PrimeField, acc: int) -> int:
+    """Mask of {g^k : bit k of acc is set}: acc's bits unpacked, mapped through an
+    int64 copy of exp_table (kept in the field's instance __dict__, as full_mask
+    is) and packed back.  exp is a bijection, so the popcount is preserved; a
+    check holds that on every call, also under python -O.
+    """
+    import numpy as np
+
+    exp = field.__dict__.get("_exp_array")
+    if exp is None:
+        exp = field.__dict__["_exp_array"] = np.array(field.exp_table, dtype=np.int64)
+    p, q = field.p, field.p - 1
+    packed = np.frombuffer(acc.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
+    flags = np.unpackbits(packed, count=q, bitorder="little").view(bool)
+    member = np.zeros(p, dtype=np.uint8)
+    member[exp[flags]] = 1
+    mask = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+    check(mask.bit_count() == acc.bit_count(), "the log-domain decode does not preserve the popcount")
+    return mask
 
 
 def _scaled_mask(u: int, A: FSet) -> int:
@@ -429,10 +466,15 @@ def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:
 
 def pair_counts(xs: Sequence[int], ys: Sequence[int], m: int, xw=None, yw=None) -> list[int]:
     """counts[k] = sum of xw[i] * yw[j] (weights >= 0, default 1) over xs[i] - ys[j] = k mod m."""
-    if len(xs) * len(ys) >= _NUMPY_PAIR_THRESHOLD:
+    if _numpy_pays(len(xs) * len(ys)):
         return _pair_hist(xs, ys, m, xw, yw).tolist()
-    xw, yw = xw or [1] * len(xs), yw or [1] * len(ys)
     counts = [0] * m
+    if xw is None and yw is None:  # a third fewer steps per pair than the weighted loop
+        for x in xs:
+            for y in ys:
+                counts[(x - y) % m] += 1
+        return counts
+    xw, yw = xw or [1] * len(xs), yw or [1] * len(ys)
     for x, a in zip(xs, xw):
         for y, b in zip(ys, yw):
             counts[(x - y) % m] += a * b
@@ -511,13 +553,13 @@ def pair_energy(ys: Sequence[int], zs: Sequence[int], m: int) -> tuple[int, int]
 
     As y - z = y' - z' exactly when y - y' = z - z', the sum is the energy
     sum_k r_Y(k) r_Z(k) with r_X(k) = #{(x, x') in X^2 : x - x' = k mod m}.
-    Below _NUMPY_PAIR_THRESHOLD pairs c is a dict; from there on it comes from
-    _pair_hist, and its int64 dot is exact while |Y||Z| * max c < _INT64_LIMIT
-    (sum c = |Y||Z|), with a sum of Python ints beyond.
+    c is a dict unless _numpy_pays; then it comes from _pair_hist, and its
+    int64 dot is exact while |Y||Z| * max c < _INT64_LIMIT (sum c = |Y||Z|),
+    with a sum of Python ints beyond.
     """
     if not (ys and zs):
         return 0, 0
-    if len(ys) * len(zs) < _NUMPY_PAIR_THRESHOLD:
+    if not _numpy_pays(len(ys) * len(zs)):
         c = Counter((y - z) % m for y in ys for z in zs)
         return sum(map(mul, c.values(), c.values())), len(c)
     c = _pair_hist(ys, zs, m)

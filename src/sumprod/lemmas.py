@@ -274,14 +274,26 @@ class BucketDecomposition:
 def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     """Dyadic bucket decomposition of Y by |y0*Z cap y*Z| around the best pivot.
 
+    For nonzero y0 and y, |y0*Z cap y*Z| = r(dlog y - dlog y0) + [0 in Z],
+    where r(k) counts the pairs of Z* whose logs differ by k mod p-1, so one
+    pair_counts over the logs of Z* gives every entry.  With 0*Z = {0}, an
+    entry in the row or column of 0 is 1 at (0, 0) and [0 in Z] elsewhere.
     The pivot maximizes the row sum, so s_sum * |Y| >= Ex(Y,Z) exactly.
     """
     field = _require_same_field(Y, Z)
     _require_nonempty(Y, Z)
-    masks = {y: _scaled_mask(y, Z) for y in Y}
+    q, dlog = field.p - 1, field.dlog_table
+    lz = [dlog[z] for z in Z if z]
+    r = pair_counts(lz, lz, q)
+    z0 = Z.mask & 1  # [0 in Z]
+    logs = [dlog[y] for y in Y if y]
     pivot, s_sum, e_val = -1, -1, 0
     for y0 in sorted(Y):
-        row = sum((masks[y0] & masks[y]).bit_count() for y in Y)
+        if y0:
+            l0 = dlog[y0]
+            row = sum(r[(ly - l0) % q] for ly in logs) + z0 * Y.card
+        else:
+            row = 1 + z0 * (Y.card - 1)
         e_val += row  # the rows add up to Ex(Y, Z) exactly
         if row > s_sum:
             pivot, s_sum = y0, row
@@ -289,7 +301,10 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     j_max = bucket_index(Z.card)
     bucket_masks = {j: 0 for j in range(1, j_max + 1)}
     for y in Y:
-        v = (masks[pivot] & masks[y]).bit_count()
+        if y and pivot:
+            v = r[(dlog[y] - dlog[pivot]) % q] + z0
+        else:
+            v = 1 if y == pivot else z0
         if v:
             bucket_masks[bucket_index(v)] |= 1 << y
     buckets = {j: field.fset_from_mask(m) for j, m in bucket_masks.items()}

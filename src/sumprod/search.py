@@ -149,12 +149,23 @@ def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
         raise BadParameters("checkpoint classes_visited is outside [0, cursor]")
     if (state["best_value"] is None) != (not state["witnesses"]):
         raise BadParameters("checkpoint best_value and witnesses must be both empty or both set")
+    if len(state["witnesses"]) > state["classes_visited"]:
+        raise BadParameters("checkpoint has more witnesses than classes_visited")
     field = make_field(p)
+    scanned = []
     for m in state["witnesses"]:
         if not (0 <= m < 1 << p and m.bit_count() == n):
             raise BadParameters(f"checkpoint witness {m} is not a mask of {n} elements of F_{p}")
-        if objective(field.fset_from_mask(m)) != state["best_value"]:
+        A = field.fset_from_mask(m)
+        # _class_reps keeps each class at the least of its dilates that contain 1
+        if m != min((dilate(A, field.inv(a)).mask for a in A if a), default=m):
+            raise BadParameters(f"checkpoint witness {m} is not the set the scan keeps for its class")
+        if objective(A) != state["best_value"]:
             raise BadParameters(f"checkpoint witness {m} does not reach best_value")
+        scanned.append(A.elements())
+    # the scan appends witnesses in candidate order, which is the order of their sorted elements
+    if any(a >= b for a, b in zip(scanned, scanned[1:])):
+        raise BadParameters("checkpoint witnesses are not distinct and in scan order")
     return state
 
 

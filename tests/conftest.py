@@ -45,6 +45,20 @@ def _cold_p51_memo():
     _p51.cache_clear()
 
 
+@pytest.fixture(scope="session")
+def numpy_loaded():
+    """numpy imported, so the kernels take numpy from core._NUMPY_PAIR_THRESHOLD pairs on.
+
+    A process that has not loaded numpy keeps the pure-Python loops below
+    core._NUMPY_COLD_PAIRS, so every test that asserts a numpy branch asks
+    for this rather than rely on an earlier test's import.  Session scope:
+    an import is not undone, and hypothesis tests can use it.
+    """
+    import numpy
+
+    return numpy
+
+
 @pytest.fixture
 def one_cpu_pools(monkeypatch):
     """A 1-CPU host whose process pools are fakes: returns the max_workers asked for.

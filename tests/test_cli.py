@@ -238,8 +238,9 @@ def test_rep_subcommand(capsys):
 
 
 @pytest.mark.parametrize("kind", ["add", "mult"])
-def test_energy_json_value_is_int_at_large_p(kind, capsys):
-    # 40 x 50 elements: the histogram counts 2000 pairs, 1024 or more, so numpy counts them
+def test_energy_json_value_is_int_at_large_p(kind, capsys, numpy_loaded):
+    # 40 x 50 elements: the histogram counts 2000 pairs, 1024 or more, so numpy, being
+    # loaded, counts them; a fresh CLI process counts them in Python (test_cold_cli_loads_no_numpy)
     values = []
     for method in ("convolution", "naive"):
         assert run(["energy", "--p", "65521", "--y", "ap:1,3,40", "--z", "gp:2,3,50",
@@ -290,6 +291,22 @@ def test_fft_checks_hold_under_optimize(offset, message):
     assert proc.stderr == f"exact invariant violated: {message}\n"
 
 
+def test_decode_check_holds_under_optimize():
+    # numpy loaded, 40 x 48 pairs at p = 65521 decode their dense product by numpy; a packbits
+    # that sets one more bit must be caught
+    code = (
+        "import sys, numpy, sumprod.cli\n"
+        "assert False, 'asserts must be stripped'\n"
+        "packbits = numpy.packbits\n"
+        "numpy.packbits = lambda *a, **k: packbits(*a, **k) | 1\n"
+        "sys.exit(sumprod.cli.run(['set', '--p', '65521', '--a', 'ap:1,7,40', '--b', 'gp:3,5,48', '--op', 'prod']))"
+    )
+    proc = _python("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "exact invariant violated: the log-domain decode does not preserve the popcount\n"
+
+
 CORE = ("sumprod", "sumprod.core", "sumprod.errors")
 # What a fresh interpreter loads: the sumprod modules exactly, for a statement
 # or for one `python -m sumprod.cli` run of a golden invocation per subcommand.
@@ -325,6 +342,39 @@ def test_fresh_process_loads_only_what_it_runs(case):
     assert "numpy" not in loaded
     # the process pool's imports are paid only by the subcommands that can start one
     assert ("multiprocessing" in loaded) == ("sumprod.search" in want)
+
+
+# Seeded sets at p = 65521 of the shapes the CLI benchmark runs: every histogram
+# and product below counts at most 9,600 pairs, far below the break-even at
+# which a process that has not loaded numpy imports it.
+COLD_P = 65521
+COLD_RNG = random.Random(65521)
+COLD_GP40 = f"gp:{COLD_RNG.randrange(1, COLD_P)},{COLD_RNG.randrange(2, COLD_P)},40"
+COLD_GP10 = COLD_GP40[: COLD_GP40.rindex(",")] + ",10"
+COLD_AP200 = f"ap:{COLD_RNG.randrange(COLD_P)},{COLD_RNG.randrange(1, COLD_P)},200"
+COLD_FILE48 = COLD_RNG.sample(range(1, COLD_P), 48)
+COLD_RUNS = {
+    "prod 40x48": ["set", "--a", COLD_GP40, "--b", "@FILE", "--op", "prod"],
+    "ratio 10": ["set", "--a", COLD_GP10, "--op", "ratio"],
+    "rep 200x40": ["set", "--a", COLD_AP200, "--b", COLD_GP40, "--op", "rep", "--sign", "minus"],
+    "energy mult 40x48": ["energy", "--y", COLD_GP40, "--z", "@FILE", "--kind", "mult"],
+    "energy add 48x200": ["energy", "--y", "@FILE", "--z", COLD_AP200, "--kind", "add"],
+    "chang 40x48": ["lemma", "chang", "--y", COLD_GP40, "--z", "@FILE"],
+}
+
+
+@pytest.mark.parametrize("case", COLD_RUNS)
+def test_cold_cli_loads_no_numpy(case, tmp_path, capsys, numpy_loaded):
+    path = tmp_path / "set.txt"
+    path.write_text("".join(f"{x}\n" for x in COLD_FILE48))
+    argv = [a.replace("@FILE", f"@{path}") for a in COLD_RUNS[case]] + ["--p", str(COLD_P)]
+    proc = _python("-v", "-m", "sumprod.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
+    assert "numpy" not in loaded
+    # the same bytes as this process, where numpy is loaded and counts from 1024 pairs on
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_package_names_are_their_submodules_objects(monkeypatch):

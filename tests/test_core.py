@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,10 +324,10 @@ class TestRepFn:
         assert r.total == 6 == sum(r.counts)
         assert r[9] == r.counts[2]
 
-    def test_over_pair_threshold_matches_loop(self):
+    def test_over_pair_threshold_matches_loop(self, numpy_loaded):
         field = make_field(127)
         A = field.fset(range(1, 60))
-        B = field.fset(range(2, 50))  # 59*48 pairs, over the numpy threshold
+        B = field.fset(range(2, 50))  # 59*48 pairs: numpy's branch, numpy being loaded
         plus, minus = [0] * 127, [0] * 127
         for a in A:
             for b in B:
@@ -343,10 +347,41 @@ def _loop_pair_counts(xs, ys, m, xw=None, yw=None):
     return counts
 
 
+class TestNumpyGate:
+    def test_numpy_loaded(self, numpy_loaded):
+        pairs = (0, core._NUMPY_PAIR_THRESHOLD - 1, core._NUMPY_PAIR_THRESHOLD, core._NUMPY_COLD_PAIRS)
+        assert [core._numpy_pays(k) for k in pairs] == [False, False, True, True]
+
+    def test_numpy_absent(self, monkeypatch):
+        # only the predicate runs while numpy is out of sys.modules: nothing here imports it
+        monkeypatch.delitem(sys.modules, "numpy", raising=False)
+        pairs = (core._NUMPY_PAIR_THRESHOLD, core._NUMPY_COLD_PAIRS - 1, core._NUMPY_COLD_PAIRS)
+        assert [core._numpy_pays(k) for k in pairs] == [False, False, True]
+
+    @pytest.mark.parametrize("kernel", ["pair_counts", "pair_energy"])
+    def test_fresh_process_imports_numpy_at_break_even(self, kernel):
+        # 511 x 1026 = 2^19 - 2 pairs stay in Python, 512 x 1024 = 2^19 load numpy
+        assert core._NUMPY_COLD_PAIRS == 512 * 1024
+        code = (
+            "import sys\n"
+            f"from sumprod.core import {kernel} as kernel\n"
+            "kernel(list(range(511)), list(range(1026)), 101)\n"
+            "print('numpy' in sys.modules)\n"
+            "kernel(list(range(512)), list(range(1024)), 101)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nTrue\n"
+
+
+@pytest.mark.usefixtures("numpy_loaded")
 class TestPairCounts:
     @pytest.mark.parametrize("nx, ny", [(31, 33), (1, 1023), (32, 32), (1, 1024), (59, 48)])
     def test_both_sides_of_threshold(self, nx, ny):
-        # 1023 pairs take the loop, 1024 and more the numpy branch
+        # numpy being loaded, 1023 pairs take the loop, 1024 and more the numpy branch
         rng = random.Random(nx * 1000 + ny)
         xs = [rng.randrange(-50, 200) for _ in range(nx)]
         ys = [rng.randrange(-50, 200) for _ in range(ny)]
@@ -404,6 +439,7 @@ def _fft_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("numpy_loaded")
 class TestFftPairHist:
     @pytest.mark.parametrize("m", [3, 101, 4098, 4099])
     def test_both_sides_of_crossover_match_loop(self, monkeypatch, m):
@@ -484,8 +520,9 @@ def _loop_energy(ys, zs, m):
     return value, len({(y - z) % m for y in ys for z in zs})
 
 
+@pytest.mark.usefixtures("numpy_loaded")
 class TestPairEnergy:
-    # below 1024 pairs a dict counts them (31 x 31, 31 x 32, 17 x 60), from 1024 on numpy
+    # numpy being loaded, a dict counts below 1024 pairs (31 x 31, 31 x 32, 17 x 60), numpy from 1024 on
     @pytest.mark.parametrize("ny, nz", [(1, 1), (31, 31), (32, 32), (31, 32), (3, 40), (70, 5),
                                         (16, 64), (17, 60)])
     @pytest.mark.parametrize("m", [1, 2, 127, 1009, 65520])

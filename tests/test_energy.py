@@ -134,14 +134,15 @@ def _two_histogram_value(kind, Y, Z):
     return value
 
 
-# 16 x 16 pairs go into a dict, 512 x 512 through np.add.at, 2048 x 2048 through the FFT
+# numpy being loaded, 16 x 16 pairs go into a dict, 512 x 512 through np.add.at,
+# 2048 x 2048 through the FFT
 @pytest.mark.parametrize("n, hists", [(16, []), (512, ["_pair_hist"]),
                                       (2048, ["_pair_hist", "_fft_pair_hist"])])
 @pytest.mark.parametrize("zeros, same", [("", True), ("YZ", True), ("", False), ("Y", False),
                                          ("Z", False)])
 @pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
 def test_convolution_at_large_p_matches_two_histograms_and_op_set(
-    monkeypatch, kind, zeros, same, n, hists
+    monkeypatch, numpy_loaded, kind, zeros, same, n, hists
 ):
     # n elements each, 0 among them in the sets named by zeros; Z is Y itself when same
     rng = random.Random(n)

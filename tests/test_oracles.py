@@ -9,14 +9,18 @@ against a test of every bit, and canonical_form against the least mask of
 the dilates built as plain sets.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from sumprod import lemmas
+from sumprod import core, lemmas
 from sumprod.core import (
     _DENSE_BITS,
     MINUS,
@@ -31,8 +35,8 @@ from sumprod.core import (
     scale,
     sumset,
 )
-from sumprod.energy import additive_energy, multiplicative_energy
-from sumprod.lemmas import GkWitness, chang_decompose, gk_witness, greedy_cover, xi_search
+from sumprod.energy import MULTIPLICATIVE, additive_energy, intersection_count, multiplicative_energy
+from sumprod.lemmas import GkWitness, bucket_index, chang_decompose, gk_witness, greedy_cover, xi_search
 from sumprod.search import canonical_form
 
 
@@ -151,8 +155,8 @@ def test_greedy_cover_matches_scan(B1, n2, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(_field_set(PRIMES_257, 257), st.integers(1, 257), st.randoms(use_true_random=False))
-def test_greedy_cover_matches_scan_on_dense_sets(B1, n2, rng):
-    # counts of U - B2 over 1024 pairs take the numpy branch, then shrink step by step
+def test_greedy_cover_matches_scan_on_dense_sets(numpy_loaded, B1, n2, rng):
+    # numpy being loaded, counts of U - B2 over 1024 pairs take its branch, then shrink step by step
     p = B1.field.p
     B2 = B1.field.fset(rng.sample(range(p), min(n2, p)))
     for mode in (PLUS, MINUS):
@@ -195,10 +199,72 @@ def test_multiplicative_energy_matches_naive(Y, nz, rng):
 @settings(max_examples=40, deadline=None)
 @given(_field_set(PRIMES_65521, 40), st.integers(1, 40), st.randoms(use_true_random=False))
 def test_product_set_matches_naive(A, nb, rng):
-    # results of 48 or more log-domain bits take the one-pass digit decode
+    # results of 48 or more log-domain bits take the digit pass, or numpy's decode from 1024 pairs on
+    # once numpy is loaded
     p = A.field.p
     B = A.field.fset(rng.sample(range(p), min(nb, p)))
     assert product_set(A, B) == product_set(A, B, method="naive")
+
+
+def product_set_cases(p):
+    """Operand pairs over F_p, each with 0 in neither, one or both operands.
+
+    Segments of one geometric progression multiply to segments: 24 x 24,
+    24 x 25, 31 x 33, 32 x 32 and 2 x 512 elements give log-domain results of
+    47, 48, 63, 63 and 513 elements from 576, 600, 1023, 1024 and 1024 pairs.
+    Random sets take 3 x 5 up to 64 x 64 pairs.
+    """
+    field = make_field(p)
+    exp, q = field.exp_table, p - 1
+    rng = random.Random(p)
+
+    def progression(n):
+        start = rng.randrange(q)
+        return [exp[(start + k) % q] for k in range(n)]
+
+    def sample(n):
+        return rng.sample(range(1, p), n)
+
+    shapes = [(progression, 24, 24), (progression, 24, 25), (progression, 31, 33),
+              (progression, 32, 32), (progression, 2, 512), (sample, 3, 5), (sample, 30, 30),
+              (sample, 40, 48), (sample, 64, 64)]
+    return [(field.fset(make(na) + [0] * ("A" in zeros)), field.fset(make(nb) + [0] * ("B" in zeros)))
+            for make, na, nb in shapes for zeros in ("", "A", "B", "AB")]
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_product_set_matches_naive_on_both_sides_of_dense_bits(p, numpy_loaded, monkeypatch):
+    # numpy being loaded, a result of _DENSE_BITS or more logs from 1024 pairs or more is decoded by numpy
+    decoded, exp_mask = [], core._exp_mask
+    monkeypatch.setattr(core, "_exp_mask", lambda *a: decoded.append(1) or exp_mask(*a))
+    sides = set()
+    for A, B in product_set_cases(p):
+        before = len(decoded)
+        assert product_set(A, B) == product_set(A, B, method="naive")
+        logs = len({a * b % p for a in A for b in B if a and b})
+        pairs = (A.card - (0 in A)) * (B.card - (0 in B))
+        by_numpy = logs >= _DENSE_BITS and pairs >= core._NUMPY_PAIR_THRESHOLD
+        assert len(decoded) - before == by_numpy
+        sides.add((logs >= _DENSE_BITS, by_numpy))
+    assert sides == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_product_set_matches_naive_in_a_fresh_process(p):
+    # no numpy loaded: every dense result is decoded in Python, and numpy stays unloaded
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, test_oracles\n"
+        "from sumprod.core import product_set\n"
+        f"for A, B in test_oracles.product_set_cases({p}):\n"
+        "    assert product_set(A, B) == product_set(A, B, method='naive')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def gk_witness_pairs(A1, variant):
@@ -328,15 +394,64 @@ def test_energies_of_one_set_match_naive_at_large_p(yz):
 @settings(max_examples=20, deadline=None)
 @given(_sparse_or_dense_pair(st.just(65521)))
 def test_chang_rows_add_up_to_multiplicative_energy(yz):
-    # the pivot search sums |y0*Z cap y*Z| by masks, the energy counts dlog differences
+    # the rows count log differences within Z*, the energy log sums of Y* and Z*
     Y, Z = yz
     assert chang_decompose(Y, Z).energy == multiplicative_energy(Y, Z).value
 
 
+def chang_scan(Y, Z):
+    """(pivot, s_sum, energy, {bucket index: mask}) from every |y0*Z cap y*Z| by masks."""
+    els = sorted(Y)
+    rows = [sum(intersection_count(y0, y, Z, MULTIPLICATIVE) for y in els) for y0 in els]
+    s_sum = max(rows)
+    pivot = els[rows.index(s_sum)]  # the first y0 with the largest row
+    buckets = {}
+    for y in els:
+        v = intersection_count(pivot, y, Z, MULTIPLICATIVE)
+        if v:
+            buckets[bucket_index(v)] = buckets.get(bucket_index(v), 0) | 1 << y
+    return pivot, s_sum, sum(rows), buckets
+
+
+@st.composite
+def _chang_pair(draw):
+    """Y, Z at p = 65521 with 0 in neither, one or both.
+
+    Each is a few random residues, a coset of a subgroup of F_p* of order
+    up to 20 (whose dilates meet in whole cosets, so rows differ widely),
+    or both together.
+    """
+    field = make_field(65521)
+    p = field.p
+    orders = [d for d in range(1, 21) if (p - 1) % d == 0]
+
+    def one(zero):
+        els = set(draw(st.lists(st.integers(1, p - 1), max_size=12)))
+        if draw(st.booleans()):
+            order = draw(st.sampled_from(orders))
+            h, x = pow(field.g, (p - 1) // order, p), draw(st.integers(1, p - 1))
+            els |= {x * pow(h, k, p) % p for k in range(order)}
+        if zero:
+            els.add(0)
+        return field.fset(els or {draw(st.integers(1, p - 1))})
+
+    zeros = draw(st.sampled_from(["", "Y", "Z", "YZ"]))
+    return one("Y" in zeros), one("Z" in zeros)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chang_pair())
+def test_chang_decompose_matches_mask_scan(yz):
+    Y, Z = yz
+    d = chang_decompose(Y, Z)
+    got = (d.pivot, d.s_sum, d.energy, {j: b.mask for j, b in d.buckets.items() if b.card})
+    assert got == chang_scan(Y, Z)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_sparse_or_dense_pair())
-def test_rep_fn_matches_loop_at_large_p(ab):
-    # |A||B| >= 1024 takes pair_counts' numpy branch, smaller pairs its loop
+def test_rep_fn_matches_loop_at_large_p(numpy_loaded, ab):
+    # numpy being loaded, |A||B| >= 1024 takes pair_counts' numpy branch, smaller pairs its loop
     A, B = ab
     p = A.field.p
     for sign, op in ((PLUS, lambda a, b: a + b), (MINUS, lambda a, b: a - b)):

@@ -153,6 +153,11 @@ class TestExhaustive:
         {"best_value": 6},
         {"classes_visited": -5},
         {"classes_visited": 31},
+        {"witnesses": [7, 7, 42, 146]},  # a class twice
+        {"witnesses": [7, 42, 1027, 146]},  # out of scan order
+        {"witnesses": [7, 1027, 42, 146, 97]},  # 97 = {0, 5, 6} is the class of 1027
+        {"witnesses": [7, 97, 42, 146]},
+        {"classes_visited": 3},  # fewer than the four witnesses
     ])
     def test_bad_checkpoint(self, tmp_path, edit):
         ck = tmp_path / "ck.json"
