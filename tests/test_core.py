@@ -92,6 +92,12 @@ class TestMakeField:
             assert back == F and back.full_mask == F.full_mask
         F = make_field(65521)
         assert F.full_mask is F.full_mask  # computed once, not on each read
+        assert F.full_set() is F.full_set() and F.full_set().card == 65521
+        assert F.full_set() == F.fset_from_mask(F.full_mask) and F.full_set().field is F
+        small = make_field(7)
+        small.full_set().elements()
+        back = pickle.loads(pickle.dumps(small))  # the cached set refers back to its field
+        assert back == small and back.full_set() == small.full_set() and back.full_set().field is back
         assert "full_mask" not in dataclasses.asdict(make_field(7))
 
     def test_inverse(self):
@@ -358,16 +364,30 @@ class TestNumpyGate:
         pairs = (core._NUMPY_PAIR_THRESHOLD, core._NUMPY_COLD_PAIRS - 1, core._NUMPY_COLD_PAIRS)
         assert [core._numpy_pays(k) for k in pairs] == [False, False, True]
 
-    @pytest.mark.parametrize("kernel", ["pair_counts", "pair_energy"])
-    def test_fresh_process_imports_numpy_at_break_even(self, kernel):
-        # 511 x 1026 = 2^19 - 2 pairs stay in Python, 512 x 1024 = 2^19 load numpy
+    # 511 x 1026 = 2^19 - 2 pairs stay in Python, 512 x 1024 = 2^19 load numpy
+    PAIR_CALLS = ("kernel(list(range(511)), list(range(1026)), 101)",
+                  "kernel(list(range(512)), list(range(1024)), 101)")
+    # 1024 x 1024 random units at p = 65521 multiply to all of F_p*, which is not decoded
+    # at all; 512 x 1024 units whose logs are intervals make a dense product set of 1535
+    PRODUCT_CALLS = (
+        "import random\n"
+        "field, rng = make_field(65521), random.Random(1)\n"
+        "A, B = (field.fset(rng.sample(range(1, 65521), 1024)) for _ in 'AB')\n"
+        "assert kernel(A, B).card == 65520",
+        "exp = field.exp_table\n"
+        "assert kernel(field.fset(exp[:512]), field.fset(exp[:1024])).card == 1535",
+    )
+
+    @pytest.mark.parametrize("kernel, calls", [("pair_counts", PAIR_CALLS), ("pair_energy", PAIR_CALLS),
+                                               ("product_set", PRODUCT_CALLS)])
+    def test_fresh_process_imports_numpy_at_break_even(self, kernel, calls):
         assert core._NUMPY_COLD_PAIRS == 512 * 1024
         code = (
             "import sys\n"
-            f"from sumprod.core import {kernel} as kernel\n"
-            "kernel(list(range(511)), list(range(1026)), 101)\n"
+            f"from sumprod.core import make_field, {kernel} as kernel\n"
+            f"{calls[0]}\n"
             "print('numpy' in sys.modules)\n"
-            "kernel(list(range(512)), list(range(1024)), 101)\n"
+            f"{calls[1]}\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")

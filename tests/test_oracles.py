@@ -212,7 +212,8 @@ def product_set_cases(p):
     Segments of one geometric progression multiply to segments: 24 x 24,
     24 x 25, 31 x 33, 32 x 32 and 2 x 512 elements give log-domain results of
     47, 48, 63, 63 and 513 elements from 576, 600, 1023, 1024 and 1024 pairs.
-    Random sets take 3 x 5 up to 64 x 64 pairs.
+    Random sets take 3 x 5 up to 64 x 64 pairs, and 255 x 4 and 256 x 4 on
+    both sides of the one-pass build of A's log-domain mask.
     """
     field = make_field(p)
     exp, q = field.exp_table, p - 1
@@ -227,7 +228,8 @@ def product_set_cases(p):
 
     shapes = [(progression, 24, 24), (progression, 24, 25), (progression, 31, 33),
               (progression, 32, 32), (progression, 2, 512), (sample, 3, 5), (sample, 30, 30),
-              (sample, 40, 48), (sample, 64, 64)]
+              (sample, 40, 48), (sample, 64, 64), (sample, core._MASK_PASS_ELEMENTS - 1, 4),
+              (sample, core._MASK_PASS_ELEMENTS, 4)]
     return [(field.fset(make(na) + [0] * ("A" in zeros)), field.fset(make(nb) + [0] * ("B" in zeros)))
             for make, na, nb in shapes for zeros in ("", "A", "B", "AB")]
 
@@ -265,6 +267,111 @@ def test_product_set_matches_naive_in_a_fresh_process(p):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def filling_pair(m, j, short=0):
+    """Residues A = [0, n) and B = {0, s, ..., (j - 1)s} of Z/m, s = m // j, n = m - (j - 1)s - short.
+
+    A + B and A - B cover m - short residues, and the j-th rotation of A, with
+    B in ascending order, completes them.  With short = 0 B also gets n - j
+    larger elements, so |A| = |B| and the union would run on past the j-th.
+    """
+    s = m // j
+    n = m - (j - 1) * s - short
+    b = [i * s for i in range(j)]
+    if not short:
+        b += range(b[-1] + 1, b[-1] + 1 + n - j)
+    return list(range(n)), b
+
+
+class _Slices(list):
+    """A list that records the start of every slice taken of it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.starts = []
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.starts.append(i.start)
+        return list.__getitem__(self, i)
+
+
+# (j, short, blocks run): the union fills in the middle of the second block, at the
+# end of the first, or ends one residue short of the group after every block
+UNION_CASES = [(core._UNION_BLOCK * 3 // 2, 0, 2), (core._UNION_BLOCK, 0, 1),
+               (core._UNION_BLOCK * 3 // 2, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+@pytest.mark.parametrize("j, short, blocks", UNION_CASES)
+def test_rotation_union_stops_after_the_block_that_fills(p, j, short, blocks):
+    a, b = filling_pair(p, j, short)
+    mask, full = sum(1 << x for x in a), (1 << p) - 1
+    for sign, cover in ((PLUS, {(x + y) % p for x in a for y in b}),
+                        (MINUS, {(x - y) % p for x in a for y in b})):
+        ks = _Slices(b)
+        acc = core._rotation_union(mask, ks, p, full, sign)
+        assert acc == sum(1 << x for x in cover) and len(cover) == p - short
+        assert ks.starts == [core._UNION_BLOCK * i for i in range(blocks)]
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+@pytest.mark.parametrize("j, short, blocks", UNION_CASES)
+def test_sumset_and_product_set_that_fill_match_naive(p, j, short, blocks, numpy_loaded, monkeypatch):
+    # a product set that fills F_p* is never decoded; one short of it is, by numpy, numpy being loaded
+    decoded, exp_mask = [], core._exp_mask
+    monkeypatch.setattr(core, "_exp_mask", lambda *a: decoded.append(1) or exp_mask(*a))
+    field = make_field(p)
+    a, b = filling_pair(p, j, short)
+    A, B = field.fset(a), field.fset(b)
+    for sign in (PLUS, MINUS):
+        S = sumset(A, B, sign)
+        assert S == sumset(A, B, sign, method="naive") and S.card == p - short
+    q, exp = p - 1, field.exp_table
+    a, b = filling_pair(q, j, short)
+    for zeros in ("", "A", "B", "AB"):
+        A = field.fset([exp[x] for x in a] + [0] * ("A" in zeros))
+        B = field.fset([exp[x] for x in b] + [0] * ("B" in zeros))
+        P = product_set(A, B)
+        assert P == product_set(A, B, method="naive") and P.card == q - short + bool(zeros)
+        assert (P is field.full_set()) == (not short and bool(zeros))
+    assert len(decoded) == 4 * short
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_pigeonhole_boundary_matches_naive(p):
+    # |A| + |B| = p leaves one residue out; p + 1 is all of F_p, without a rotation
+    field, k = make_field(p), 2
+    full = field.full_set()
+    for extra in (0, 1):
+        A, B = field.fset(range(k)), field.fset(range(p - k + extra))
+        for sign in (PLUS, MINUS):
+            S = sumset(A, B, sign)
+            assert S == sumset(A, B, sign, method="naive") and S.card == p - 1 + extra
+            assert (S is full) == bool(extra)
+    # the same in the log domain: |A*| + |B*| = p - 1 leaves g^(p - 2) out of F_p*
+    q, exp = p - 1, field.exp_table
+    for extra in (0, 1):
+        for zeros in ("", "A", "B", "AB"):
+            A = field.fset(exp[:k] + (0,) * ("A" in zeros))
+            B = field.fset(exp[: q - k + extra] + (0,) * ("B" in zeros))
+            P = product_set(A, B)
+            assert P == product_set(A, B, method="naive")
+            assert P.card == q - 1 + extra + bool(zeros) and (exp[-1] in P) == bool(extra)
+            assert (P is full) == (extra and bool(zeros))
+
+
+def test_pigeonhole_answer_keeps_every_error():
+    field = make_field(7)
+    A = field.fset(range(5))
+    with pytest.raises(ValueError, match="bad sign"):
+        sumset(A, A, "times")
+    with pytest.raises(ValueError, match="bad method"):
+        sumset(A, A, method="fft")
+    with pytest.raises(ValueError, match="bad method"):
+        product_set(A, A, method="fft")
+    assert sumset(A, A, method="naive") == sumset(A, A) is field.full_set()
 
 
 def gk_witness_pairs(A1, variant):
