@@ -584,7 +584,9 @@ def _fft_pair_hist(xs: Sequence[int], ys: Sequence[int], m: int, n: int, xw, yw)
     # float64 weights sum exactly: a bin at 2^53 or above is far over the norm limit
     u = np.bincount(np.asarray(xs, dtype=np.int64) % m, xw, m).astype(np.float64)
     v = u if same else np.bincount(np.asarray(ys, dtype=np.int64) % m, yw, m).astype(np.float64)
-    if float(u @ u) * float(v @ v) >= _FFT_NORM_LIMIT:
+    # sums of squares by einsum's own loop: a float64 dot (u @ u) goes to BLAS,
+    # which wakes its threads in a process that does not set OPENBLAS_NUM_THREADS
+    if float(np.einsum("i,i", u, u)) * float(np.einsum("i,i", v, v)) >= _FFT_NORM_LIMIT:
         return None
     fu = rfft(u, n)
     r = irfft(fu.real**2 + fu.imag**2 if same else fu * rfft(v, n).conj(), n)

@@ -32,11 +32,31 @@ CHECKPOINT_EVERY = 10**6
 CHECKPOINT_VERSION = 2
 ANNEAL_T0 = 2.0
 ANNEAL_COOLING = 0.995
+# pairs a <= b of a set up to which objective counts their sums and products in
+# two Python sets.  Fresh random sets on a shared 2-core x86-64 host: n = 8 took
+# 9 against 22 us at p = 1009 and 9 against 42 us at p = 4099; with numpy loaded
+# the pair count loses to sumset + product_set from n = 32 (528 pairs) on
+_PAIR_LIMIT = 256
 
 
 def objective(A: FSet) -> int:
-    """max{|A+A|, |AA|}."""
-    return max(sumset(A, A).card, product_set(A, A).card)
+    """max{|A+A|, |AA|}.
+
+    A set with at most _PAIR_LIMIT = 256 pairs a <= b (n <= 22) is counted
+    from the sums and products of its pairs in two Python sets.  A larger
+    set, or an empty one, takes sumset and product_set, with their
+    pigeonhole answers and numpy decode.
+    """
+    n = A.card
+    if not n or n * (n + 1) // 2 > _PAIR_LIMIT:
+        return max(sumset(A, A).card, product_set(A, A).card)
+    p, xs = A.field.p, A.elements()
+    sums, products = set(), set()
+    for i, a in enumerate(xs):
+        for b in xs[i:]:
+            sums.add((a + b) % p)
+            products.add(a * b % p)
+    return max(len(sums), len(products))
 
 
 def canonical_form(A: FSet) -> FSet:

@@ -36,7 +36,7 @@ from sumprod.lemmas import (
     plunnecke_audit,
     xi_search,
 )
-from sumprod.search import anneal_extremal, exhaustive_extremal, objective
+from sumprod.search import anneal_extremal, exhaustive_extremal
 
 DATA = pathlib.Path(__file__).parent / "data"
 FLOORS = json.loads((DATA / "regression_floors.json").read_text())
@@ -170,7 +170,10 @@ def test_criterion_7_chain_verifiers():
 def test_criterion_8_extremal_oracle():
     with _criterion(8, "extremal search equals the canonicalization-free oracle"):
         field = make_field(13)
-        naive = min(objective(field.fset(c)) for c in combinations(range(13), 4))
+        naive = min(
+            max(sumset(A, A, method="naive").card, product_set(A, A, method="naive").card)
+            for A in map(field.fset, combinations(range(13), 4))
+        )
         rec = exhaustive_extremal(13, 4)
         assert rec.best_value == naive
         for seed in range(3):

@@ -533,6 +533,29 @@ class TestFftPairHist:
         assert xi_search(A) == fft
         assert calls == [True]
 
+    def test_norm_check_wakes_no_blas_threads(self):
+        # a float64 dot in the norm check woke OpenBLAS's threads, which spun for
+        # about as long again as the calls took in their own thread; on one CPU
+        # there is no other thread to spin and this passes trivially
+        code = (
+            "import random, time\n"
+            "from sumprod.core import pair_counts\n"
+            "rng = random.Random(1)\n"
+            "xs, ys = ([rng.randrange(65521) for _ in range(4096)] for _ in 'xy')\n"
+            "pair_counts(xs, ys, 65521)\n"
+            "cpu, own = time.process_time(), time.thread_time()\n"
+            "for _ in range(5):\n"
+            "    pair_counts(xs, ys, 65521)\n"
+            "print(time.process_time() - cpu, time.thread_time() - own)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        cpu, own = map(float, proc.stdout.split())
+        assert cpu <= 1.3 * own + 0.005
+
 
 def _loop_energy(ys, zs, m):
     """(sum of r_Y * r_Z, the number of distinct y - z mod m), by loops."""

@@ -1,12 +1,16 @@
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumprod.core import make_field, ratio_set
+import sumprod.search
+from sumprod.core import make_field, product_set, ratio_set, sumset
 from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
+    _PAIR_LIMIT,
     anneal_extremal,
     canonical_form,
     exhaustive_extremal,
@@ -19,11 +23,16 @@ F7 = make_field(7)
 DROP = object()  # a checkpoint edit that deletes the key
 
 
+def naive_objective(A) -> int:
+    """max{|A+A|, |AA|} by the double loops of the naive sumset and product_set."""
+    return max(sumset(A, A, method="naive").card, product_set(A, A, method="naive").card)
+
+
 def naive_minimum(p: int, n: int) -> int:
     """Canonicalization-free enumerator: the independent oracle."""
     field = make_field(p)
     return min(
-        objective(field.fset(combo)) for combo in combinations(range(p), n)
+        naive_objective(field.fset(combo)) for combo in combinations(range(p), n)
     )
 
 
@@ -31,8 +40,8 @@ def brute_record(p: int, n: int) -> tuple[int, list[int], int]:
     """(best, witness masks, classes) over every n-subset kept by canonical_form."""
     field = make_field(p)
     classes = [A for A in map(field.fset, combinations(range(p), n)) if canonical_form(A) == A]
-    best = min(map(objective, classes))
-    return best, [A.mask for A in classes if objective(A) == best], len(classes)
+    best = min(map(naive_objective, classes))
+    return best, [A.mask for A in classes if naive_objective(A) == best], len(classes)
 
 
 def lex_ratio_scan(p: int) -> list[tuple[int, int | None]]:
@@ -45,6 +54,60 @@ def lex_ratio_scan(p: int) -> list[tuple[int, int | None]]:
         out.append((n, None if first is None else first.mask))
         if first is None:
             return out
+
+
+OBJECTIVE_PRIMES = (5, 13, 101, 1009, 65521)
+
+
+@st.composite
+def _set_with_or_without_zero(draw):
+    p = draw(st.sampled_from(OBJECTIVE_PRIMES))
+    zero = draw(st.booleans())
+    # up to 30 elements: the gate's 256-pair cap falls at n = 23
+    units = draw(st.sets(st.integers(1, p - 1), min_size=1 - zero, max_size=min(p - 1, 30)))
+    return make_field(p).fset(units | {0} if zero else units)
+
+
+@pytest.fixture
+def scored_by_sumset(monkeypatch):
+    """The sets objective passes to sumset, so a test sees which side of the gate it took."""
+    seen, kernel = [], sumprod.search.sumset
+
+    def spy(A, B, *args, **kwargs):
+        seen.append(A)
+        return kernel(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(sumprod.search, "sumset", spy)
+    return seen
+
+
+class TestObjective:
+    @settings(max_examples=300, deadline=None)
+    @given(_set_with_or_without_zero())
+    def test_matches_naive_score(self, A):
+        assert objective(A) == naive_objective(A)
+
+    @pytest.mark.parametrize("p", OBJECTIVE_PRIMES)
+    def test_singletons(self, p):
+        for a in (0, 1, p - 1):
+            assert objective(make_field(p).fset([a])) == 1
+
+    @pytest.mark.parametrize("p", [101, 1009, 65521])
+    def test_both_sides_of_gate(self, scored_by_sumset, p):
+        # n = 22 has 253 pairs, n = 23 has 276
+        assert 22 * 23 // 2 <= _PAIR_LIMIT < 23 * 24 // 2
+        field, rng = make_field(p), random.Random(p)
+        for n in (22, 23):
+            for _ in range(20):
+                A = field.fset(rng.sample(range(p), n))
+                scored_by_sumset.clear()
+                assert objective(A) == naive_objective(A)
+                assert scored_by_sumset == ([] if n == 22 else [A])
+
+    @pytest.mark.parametrize("p", [5, 1009])
+    def test_empty(self, p):
+        with pytest.raises(EmptyOperand):
+            objective(make_field(p).fset([]))
 
 
 class TestCanonicalForm:
@@ -233,6 +296,11 @@ class TestAnneal:
         (101, 6, 4, 200): (15, 288291948802867203),
         (101, 6, 5, 200): (16, 4438),
         (1009, 8, 5, 60): (29, 2203603505424),
+        # above objective's 256-pair gate, frozen before the pair count
+        (1009, 24, 3, 60): (
+            204,
+            2348614256792833644444266458963246886917913799716827743202893727362629586093632730400315536192542729832529920,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(FROZEN))
