@@ -63,10 +63,11 @@ _INT64_LIMIT = 1 << 63
 # set bits from which one bin()/str.find pass decodes a mask faster than
 # peeling low bits, each peel costing O(p) big-int work
 _DENSE_BITS = 48
-# elements from which _mask_from's one O(width) digit pass builds a mask faster
+# indices from which _mask_from's one O(width) digit pass builds a mask faster
 # than ORing them in one at a time, each OR copying the mask: on a shared 2-core
-# x86-64 host the two broke even near 128 elements at p = 1009, 160-190 at
-# p = 4099 and 300 at p = 65521, where 4096 elements took 0.54 ms against 3.0 ms
+# x86-64 host the two broke even near 128 indices at p = 1009, 160-190 at
+# p = 4099 and 300 at p = 65521, where 4096 took 0.54 ms against 3.0 ms and
+# 48, 128 and 255 took 26-28, 63-90 and 133-194 us against 148-231 us
 _MASK_PASS_ELEMENTS = 256
 # rotations per block of _rotation_union, checked for saturation between blocks:
 # at p = 65521 (random sets, shared 2-core x86-64 host) 1024 x 1024 went 4.0 -> 2.8 ms
@@ -122,9 +123,15 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_from(indices: Iterable[int], width: int) -> int:
-    """Mask with bit i set for every i in indices (0 <= i < width), in one O(width) pass:
+def _mask_from(indices: Sequence[int], width: int) -> int:
+    """Mask with bit i set for every i in indices (0 <= i < width): ORed in one at
+    a time below _MASK_PASS_ELEMENTS indices, else in one O(width) pass in which
     binary digit width - 1 - i is 1 for every i."""
+    if len(indices) < _MASK_PASS_ELEMENTS:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
     digits = bytearray(b"0" * width)
     for i in indices:
         digits[width - 1 - i] = 49
@@ -417,27 +424,15 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
         acc = units
     elif na and nb:
         dlog = field.dlog_table
-        if na < _MASK_PASS_ELEMENTS:
-            la = 0
-            for a in A.elements():
-                if a:
-                    la |= 1 << dlog[a]
-        else:
-            la = _mask_from((dlog[a] for a in A.elements() if a), q)
+        la = _mask_from([dlog[a] for a in A.elements() if a], q)
         acc = _rotation_union(la, [dlog[b] for b in B.elements() if b], q, units, PLUS)
     if acc == units:
         return field.full_set() if zero else FSet(field, field.full_mask ^ 1, q)
-    exp = field.exp_table
-    mask = zero
-    # a few elements are encoded one at a time; more by numpy where it pays,
-    # or else in one O(p) pass
-    if acc.bit_count() < _DENSE_BITS:
-        for k in _bits(acc):
-            mask |= 1 << exp[k]
-    elif _numpy_pays(na * nb):
-        mask |= _exp_mask(field, acc)
+    if acc.bit_count() >= _DENSE_BITS and _numpy_pays(na * nb):
+        mask = zero | _exp_mask(field, acc)
     else:
-        mask |= _mask_from((exp[k] for k in _bits(acc)), p)
+        exp = field.exp_table
+        mask = zero | _mask_from([exp[k] for k in _bits(acc)], p)
     return FSet(field, mask, mask.bit_count())  # built from residues < p
 
 

@@ -106,7 +106,7 @@ def _class_reps(p: int, n: int, start: int = 0, stop: int | None = None) -> Iter
     a^-1 S with a in S \\ {0}, so keeping S iff its mask is the least of
     theirs keeps each class once, at O(n^2) per candidate.
     """
-    inv = make_field(p).inv
+    inv = [0, 1, *map(make_field(p).inv, range(2, p))]
     sets = ((1, *T) for T in combinations([0, *range(2, p)], n - 1))
     if n == 1:
         sets = chain([(0,)], sets)
@@ -114,7 +114,7 @@ def _class_reps(p: int, n: int, start: int = 0, stop: int | None = None) -> Iter
         mask = sum(1 << x for x in S)
         for a in S:
             if a > 1:
-                u = inv(a)
+                u = inv[a]
                 if sum(1 << (u * x % p) for x in S) < mask:
                     break
         else:

@@ -5,8 +5,9 @@ p translates at every step, xi_search scanned every xi against every
 difference, ratio_set divided every difference by every nonzero one,
 gk_witness scored every (b-a, d-c) pair, and the chains' xi route looked
 for its quadruple with a scan of its own.  Decoding a mask is checked
-against a test of every bit, and canonical_form against the least mask of
-the dilates built as plain sets.
+against a test of every bit, encoding one against a sum of distinct powers
+of 2, and canonical_form against the least mask of the dilates built as
+plain sets.
 """
 
 import os
@@ -211,7 +212,9 @@ def product_set_cases(p):
 
     Segments of one geometric progression multiply to segments: 24 x 24,
     24 x 25, 31 x 33, 32 x 32 and 2 x 512 elements give log-domain results of
-    47, 48, 63, 63 and 513 elements from 576, 600, 1023, 1024 and 1024 pairs.
+    47, 48, 63, 63 and 513 elements from 576, 600, 1023, 1024 and 1024 pairs,
+    and 2 x 254 and 2 x 255 give 255 and 256 elements from 508 and 510 pairs,
+    on both sides of _mask_from's one-pass encode of a result decoded in Python.
     Random sets take 3 x 5 up to 64 x 64 pairs, and 255 x 4 and 256 x 4 on
     both sides of the one-pass build of A's log-domain mask.
     """
@@ -227,7 +230,9 @@ def product_set_cases(p):
         return rng.sample(range(1, p), n)
 
     shapes = [(progression, 24, 24), (progression, 24, 25), (progression, 31, 33),
-              (progression, 32, 32), (progression, 2, 512), (sample, 3, 5), (sample, 30, 30),
+              (progression, 32, 32), (progression, 2, 512),
+              (progression, 2, core._MASK_PASS_ELEMENTS - 2), (progression, 2, core._MASK_PASS_ELEMENTS - 1),
+              (sample, 3, 5), (sample, 30, 30),
               (sample, 40, 48), (sample, 64, 64), (sample, core._MASK_PASS_ELEMENTS - 1, 4),
               (sample, core._MASK_PASS_ELEMENTS, 4)]
     return [(field.fset(make(na) + [0] * ("A" in zeros)), field.fset(make(nb) + [0] * ("B" in zeros)))
@@ -236,10 +241,11 @@ def product_set_cases(p):
 
 @pytest.mark.parametrize("p", [4099, 65521])
 def test_product_set_matches_naive_on_both_sides_of_dense_bits(p, numpy_loaded, monkeypatch):
-    # numpy being loaded, a result of _DENSE_BITS or more logs from 1024 pairs or more is decoded by numpy
+    # numpy being loaded, a result of _DENSE_BITS or more logs from 1024 pairs or more is decoded by numpy;
+    # the others are encoded by _mask_from, on both sides of its one-pass threshold
     decoded, exp_mask = [], core._exp_mask
     monkeypatch.setattr(core, "_exp_mask", lambda *a: decoded.append(1) or exp_mask(*a))
-    sides = set()
+    sides, in_python = set(), set()
     for A, B in product_set_cases(p):
         before = len(decoded)
         assert product_set(A, B) == product_set(A, B, method="naive")
@@ -248,7 +254,10 @@ def test_product_set_matches_naive_on_both_sides_of_dense_bits(p, numpy_loaded, 
         by_numpy = logs >= _DENSE_BITS and pairs >= core._NUMPY_PAIR_THRESHOLD
         assert len(decoded) - before == by_numpy
         sides.add((logs >= _DENSE_BITS, by_numpy))
+        if not by_numpy:
+            in_python.add(logs)
     assert sides == {(False, False), (True, False), (True, True)}
+    assert {core._MASK_PASS_ELEMENTS - 1, core._MASK_PASS_ELEMENTS} <= in_python
 
 
 @pytest.mark.parametrize("p", [4099, 65521])
@@ -644,6 +653,47 @@ def test_elements_at_fixed_masks(p):
         A = field.fset_from_mask(mask)
         want = decode_scan(A)
         assert A.elements() == want and tuple(A) == want
+
+
+def or_of_bits(indices):
+    return sum(1 << i for i in set(indices))
+
+
+@st.composite
+def _mask_from_case(draw):
+    """(indices, width): short lists, or lists one below, at and one above
+    _MASK_PASS_ELEMENTS; duplicates and the ends 0 and width - 1 come often."""
+    width = draw(st.one_of(st.just(1), st.integers(1, 65521)))
+    n = core._MASK_PASS_ELEMENTS
+    size = draw(st.sampled_from([0, 1, 2, 7, n - 1, n, n + 1]))
+    rng = draw(st.randoms(use_true_random=False))
+    indices = []
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.1:
+            indices.append(rng.choice([0, width - 1]))
+        elif roll < 0.2 and indices:
+            indices.append(rng.choice(indices))
+        else:
+            indices.append(rng.randrange(width))
+    return indices, width
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mask_from_case())
+def test_mask_from_matches_or_of_bits(case):
+    indices, width = case
+    assert core._mask_from(indices, width) == or_of_bits(indices)
+
+
+@pytest.mark.parametrize("width", [1, 2, 1009, 65521])
+def test_mask_from_at_fixed_lists(width):
+    # the empty list, the ends, and duplicates on both sides of the one-pass threshold
+    n = core._MASK_PASS_ELEMENTS
+    ends = [0, width - 1]
+    for indices in ([], [0], [width - 1], ends, ends * (n // 2), ends * (n // 2) + [0],
+                    [width - 1] * (n - 1), [width - 1] * (n + 1)):
+        assert core._mask_from(indices, width) == or_of_bits(indices)
 
 
 def canonical_scan(A):
