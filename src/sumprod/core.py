@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -37,8 +37,9 @@ from .errors import (
 PLUS = "plus"
 MINUS = "minus"
 
-# Largest modulus make_field builds: its two p-entry tables peak near 114 MB
-# of RSS (0.5 s) at p = 1048573 and grow linearly beyond.
+# Largest modulus make_field accepts: the field's two p-entry exp/dlog tables,
+# built on its first multiplicative use, peak near 114 MB of RSS (0.5 s) at
+# p = 1048573 and grow linearly beyond.
 MAX_FIELD_P = 1 << 20
 
 # pair count from which numpy beats the pure-Python loop, once it is imported
@@ -149,19 +150,39 @@ class PrimeField:
     """F_p with exp/dlog tables for the smallest primitive root g.
 
     exp_table[k] = g**k mod p for k in [0, p-1); dlog_table inverts it,
-    with dlog_table[0] = -1 as a sentinel (0 has no discrete log).
+    with dlog_table[0] = -1 as a sentinel (0 has no discrete log).  Each
+    derived value (the tables, full_mask, full_set) is a cached_property:
+    built on first read and kept in the instance __dict__, so equality,
+    hashing, repr and dataclasses.fields see only (p, g), additive work
+    never builds the tables, and a pickle carries whatever has been built.
     """
 
     p: int
     g: int
-    exp_table: tuple[int, ...]
-    dlog_table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # the mask of all of F_p, read on every sumset: computed once and kept
-        # in the instance __dict__ rather than in a field, so equality,
-        # hashing, repr and dataclasses.fields see only (p, g, tables)
-        self.__dict__["full_mask"] = (1 << self.p) - 1
+    @cached_property
+    def exp_table(self) -> tuple[int, ...]:
+        p, g = self.p, self.g
+        exp = [1] * (p - 1)
+        for k in range(1, p - 1):
+            exp[k] = exp[k - 1] * g % p
+        return tuple(exp)
+
+    @cached_property
+    def dlog_table(self) -> tuple[int, ...]:
+        dlog = [-1] * self.p
+        for k, v in enumerate(self.exp_table):
+            dlog[v] = k
+        return tuple(dlog)
+
+    @cached_property
+    def full_mask(self) -> int:
+        """The mask of all of F_p, read on every sumset."""
+        return (1 << self.p) - 1
+
+    @cached_property
+    def _full_set(self) -> "FSet":
+        return FSet(self, self.full_mask, self.p)
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of nonzero x."""
@@ -185,15 +206,9 @@ class PrimeField:
         return FSet(self, mask, mask.bit_count())
 
     def full_set(self) -> "FSet":
-        """F_p as one FSet per field, kept in the instance __dict__ as full_mask
-        is: the full answers of sumset and product_set share it and its element cache."""
-        full = self.__dict__.get("_full_set")
-        if full is None:
-            full = self.__dict__["_full_set"] = FSet(self, self.full_mask, self.p)
-        return full
-
-    def __repr__(self) -> str:  # tables are bulky and fully determined by p
-        return f"PrimeField(p={self.p}, g={self.g})"
+        """F_p as one FSet per field: the full answers of sumset and product_set
+        share it and its element cache."""
+        return self._full_set
 
 
 @lru_cache(maxsize=64)
@@ -208,13 +223,7 @@ def make_field(p: int) -> PrimeField:
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
         g += 1
-    exp_table = [1] * (p - 1)
-    for k in range(1, p - 1):
-        exp_table[k] = exp_table[k - 1] * g % p
-    dlog_table = [-1] * p
-    for k, v in enumerate(exp_table):
-        dlog_table[v] = k
-    return PrimeField(p, g, tuple(exp_table), tuple(dlog_table))
+    return PrimeField(p, g)
 
 
 @dataclass(frozen=True)
@@ -438,9 +447,9 @@ def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
 
 def _exp_mask(field: PrimeField, acc: int) -> int:
     """Mask of {g^k : bit k of acc is set}: acc's bits unpacked, mapped through an
-    int64 copy of exp_table (kept in the field's instance __dict__, as full_mask
-    is) and packed back.  exp is a bijection, so the popcount is preserved; a
-    check holds that on every call, also under python -O.
+    int64 copy of exp_table (kept in the field's instance __dict__, as its cached
+    properties are) and packed back.  exp is a bijection, so the popcount is
+    preserved; a check holds that on every call, also under python -O.
     """
     import numpy as np
 

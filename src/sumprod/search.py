@@ -14,7 +14,6 @@ import os
 import random
 import tempfile
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -246,6 +245,8 @@ def exhaustive_extremal(
     size = max(1, min(checkpoint_every, -(-(stop - start) // workers)))
     los = range(start, stop, size)
     his = [min(lo + size, stop) for lo in los]
+    if workers > 1:  # the pool's imports are paid only by a run that starts one
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.map if pool else map)(_scan_chunk, repeat(p), repeat(n), los, his)
         for hi, part in zip(his, parts):

@@ -1,5 +1,6 @@
 """Shared fixtures: the seeded instance suite and the criterion summary."""
 
+import concurrent.futures
 import random
 
 import pytest
@@ -64,7 +65,9 @@ def one_cpu_pools(monkeypatch):
     """A 1-CPU host whose process pools are fakes: returns the max_workers asked for.
 
     The fake maps in this process, so a test of the worker guard never
-    starts processes, even when the guard is missing.
+    starts processes, even when the guard is missing.  It replaces the class
+    in concurrent.futures, which exhaustive_extremal imports when it starts
+    a pool.
     """
     sizes = []
 
@@ -81,7 +84,7 @@ def one_cpu_pools(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
     return sizes
 

@@ -322,6 +322,8 @@ FRESH_RUNS = {
     "chain_t13.json": (*CORE, "sumprod.energy", "sumprod.lemmas", "sumprod.chains"),
     "extremal.json": (*CORE, "sumprod.search"),
     "scan_ratio.json": (*CORE, "sumprod.search"),
+    # a run that starts a process pool: the golden extremal bytes from two workers
+    "extremal.json --threads 2": (*CORE, "sumprod.search"),
 }
 
 
@@ -333,15 +335,16 @@ def test_fresh_process_loads_only_what_it_runs(case):
         assert proc.stdout == ""
     else:
         want = FRESH_RUNS[case]
-        proc = _python("-v", "-m", "sumprod.cli", *GOLDEN_CASES[case])
-        assert proc.stdout == (DATA / "golden" / case).read_text()
+        argv = GOLDEN_CASES.get(case) or ["extremal", "--p", "7", "--n", "2", "--threads", "2"]
+        proc = _python("-v", "-m", "sumprod.cli", *argv)
+        assert proc.stdout == (DATA / "golden" / case.split()[0]).read_text()
     assert proc.returncode == 0, proc.stderr
     # -v reports every module as it is loaded, including `from . import x`
     loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
     assert sorted(m for m in loaded if m.split(".")[0] == "sumprod") == sorted(want)
     assert "numpy" not in loaded
-    # the process pool's imports are paid only by the subcommands that can start one
-    assert ("multiprocessing" in loaded) == ("sumprod.search" in want)
+    # the process pool's imports are paid only by a run that starts one
+    assert ("multiprocessing" in loaded) == ("--threads 2" in case)
 
 
 # Seeded sets at p = 65521 of the shapes the CLI benchmark runs: every histogram

@@ -79,13 +79,12 @@ class TestMakeField:
             assert field.exp_table[field.dlog_table[x]] == x
 
     def test_full_mask_is_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(core.PrimeField)] == [
-            "p", "g", "exp_table", "dlog_table"]
+        assert [f.name for f in dataclasses.fields(core.PrimeField)] == ["p", "g"]
         for p in (3, 7, 65521):
             F = make_field(p)
             assert F.full_mask == (1 << p) - 1
             assert repr(F) == f"PrimeField(p={p}, g={F.g})"
-            twin = core.PrimeField(F.p, F.g, F.exp_table, F.dlog_table)
+            twin = core.PrimeField(F.p, F.g)
             twin.__dict__["full_mask"] = 0
             assert twin == F and hash(twin) == hash(F)
             back = pickle.loads(pickle.dumps(F))
@@ -99,6 +98,47 @@ class TestMakeField:
         back = pickle.loads(pickle.dumps(small))  # the cached set refers back to its field
         assert back == small and back.full_set() == small.full_set() and back.full_set().field is back
         assert "full_mask" not in dataclasses.asdict(make_field(7))
+
+    @pytest.mark.parametrize("p", [3, 7, 1009, 65521])
+    def test_tables_match_an_eager_loop(self, p):
+        F = make_field(p)
+        exp, x = [], 1
+        for _ in range(p - 1):
+            exp.append(x)
+            x = x * F.g % p
+        dlog = [-1] * p
+        for k, v in enumerate(exp):
+            dlog[v] = k
+        assert F.exp_table == tuple(exp) and F.dlog_table == tuple(dlog)
+        assert sorted(exp) == list(range(1, p))  # g generates F_p*
+
+    def test_tables_are_built_on_first_read(self):
+        for p in (7, 1009):
+            lazy, built = core.PrimeField(p, make_field(p).g), core.PrimeField(p, make_field(p).g)
+            assert built.dlog_table is built.dlog_table  # built once, not on each read
+            assert "exp_table" not in lazy.__dict__ and "exp_table" in built.__dict__
+            assert lazy == built and hash(lazy) == hash(built) and repr(lazy) == repr(built)
+            for F in (lazy, built):
+                back = pickle.loads(pickle.dumps(F))
+                assert back == lazy and back == built and hash(back) == hash(built)
+                # a pickle carries what has been built, and builds nothing itself
+                assert ("dlog_table" in back.__dict__) == ("dlog_table" in F.__dict__)
+                assert back.exp_table == built.exp_table and back.dlog_table == built.dlog_table
+            assert "exp_table" not in lazy.__dict__
+
+    @pytest.mark.parametrize("op, built", [("sum", False), ("prod", True)])
+    def test_cli_builds_the_tables_only_for_multiplicative_work(self, op, built):
+        code = (
+            "import sumprod.cli\n"
+            "from sumprod.core import make_field\n"
+            f"assert sumprod.cli.run(['set', '--p', '65521', '--a', 'ap:1,7,40', '--b', 'gp:3,5,48', '--op', '{op}']) == 0\n"
+            "print(sorted(k for k in make_field(65521).__dict__ if k.endswith('_table')))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(["dlog_table", "exp_table"] if built else [])
 
     def test_inverse(self):
         for x in range(1, 7):
