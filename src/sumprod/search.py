@@ -13,22 +13,32 @@ import math
 import os
 import random
 import tempfile
-from collections.abc import Iterator
+from bisect import insort
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from functools import partial
+from itertools import islice
 
-from .core import FSet, dilate, make_field, product_set, ratio_set, sumset
-from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted
+from .core import FSet, PrimeField, dilate, make_field, product_set, ratio_set, sumset
+from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted, check
 
 CLASS_GUARD = 10**8
 # worker processes per CPU that exhaustive_extremal accepts.  The fork start
 # method launches every worker of a pool at its first submit, and more
 # processes buy no speed, so SPW_GUARD_OVERRIDE does not lift this guard.
 WORKERS_PER_CPU = 4
+# remaining classes from which exhaustive_extremal starts its process pool.
+# Median wall time of a fresh process's scan on a shared 2-core x86-64 host,
+# in this process against a pool of 2: the pool's imports and start cost
+# 35-45 ms, and the parent walks and pickles every block, so (43, 5) with
+# 22,924 classes took 169 against 292 ms, (47, 5) with 33,352 took 366
+# against 380 ms, and (37, 6) with 64,604 took 716 against 462 ms.
+POOL_MIN_CLASSES = 30_000
 CHECKPOINT_EVERY = 10**6
-# 2: the cursor counts the candidates of _class_reps, not all n-subsets
-CHECKPOINT_VERSION = 2
+# 3: the cursor counts the classes of _class_masks; 2 counted candidate sets
+# holding 1, and files without a version all n-subsets
+CHECKPOINT_VERSION = 3
 ANNEAL_T0 = 2.0
 ANNEAL_COOLING = 0.995
 # pairs a <= b of a set up to which objective counts their sums and products in
@@ -89,35 +99,87 @@ class SearchRecord:
         return math.log(self.best_value) / math.log(self.n)
 
 
-def _class_count_guard(p: int, n: int) -> None:
-    classes = math.comb(p, n) // (p - 1)
-    if classes > CLASS_GUARD and not _guards_lifted():
-        raise GuardExceeded(f"~{classes} dilation classes exceed the {CLASS_GUARD} guard")
+def _class_count(p: int, n: int) -> int:
+    """Number of dilation classes of n-subsets of F_p, by Burnside's lemma.
 
-
-def _class_reps(p: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[int]:
-    """Masks of the class representatives among candidates [start, stop).
-
-    A class with a nonzero element a also holds a^-1 A, which contains 1,
-    so the candidates {1} | T, T an (n-1)-subset of F_p \\ {1} in
-    combinations order, reach every class but {0}, which comes first when
-    n = 1.  The members of the class of S that contain 1 are exactly the
-    a^-1 S with a in S \\ {0}, so keeping S iff its mask is the least of
-    theirs keeps each class once, at O(n^2) per candidate.
+    (1/(p-1)) sum over d | p-1 of phi(d) [C((p-1)/d, n/d) + C((p-1)/d, (n-1)/d)],
+    each binomial taken only when d divides n, respectively n - 1: a dilation
+    of order d fixes a set iff the set is a union of its d-cycles on F_p*,
+    with or without 0.
     """
-    inv = [0, 1, *map(make_field(p).inv, range(2, p))]
-    sets = ((1, *T) for T in combinations([0, *range(2, p)], n - 1))
-    if n == 1:
-        sets = chain([(0,)], sets)
-    for S in islice(sets, start, stop):
-        mask = sum(1 << x for x in S)
-        for a in S:
-            if a > 1:
-                u = inv[a]
-                if sum(1 << (u * x % p) for x in S) < mask:
-                    break
-        else:
-            yield mask
+    q = p - 1
+    phi: dict[int, int] = {}  # Euler's phi on the divisors of q: the phi(e), e | d, sum to d
+    total = 0
+    for d in (d for d in range(1, q + 1) if q % d == 0):
+        phi[d] = d - sum(f for e, f in phi.items() if d % e == 0)
+        total += phi[d] * sum(math.comb(q // d, k // d) for k in (n, n - 1) if k % d == 0)
+    return total // q
+
+
+def _class_count_guard(p: int, n: int) -> int:
+    """The class count of (p, n), unless it exceeds CLASS_GUARD."""
+    classes = _class_count(p, n)
+    if classes > CLASS_GUARD and not _guards_lifted():
+        raise GuardExceeded(f"{classes} dilation classes exceed the {CLASS_GUARD} guard")
+    return classes
+
+
+def _class_masks(p: int, n: int) -> Iterator[int]:
+    """Masks of one n-subset of F_p per dilation class, each class once.
+
+    Dilation by g^k rotates the discrete logs of A \\ {0} by k mod p - 1, so
+    a class is whether 0 is in A and a necklace of the logs.  Its set here
+    holds 1 = g^0 and the logs 0 = e_1 < ... < e_w whose gap sequence
+    (e_2 - e_1, ..., p - 1 - e_w) is the least of its rotations.  The gap
+    sequences, parts >= 1 summing to p - 1, come from the recursion of
+    Fredricksen, Kessler and Maiorana with a fixed sum (Ruskey and Sawada,
+    SIAM J. Comput. 1999), in lex order; sets with 0 come first.  The
+    recursion runs as a loop, so n is not bounded by the interpreter's.
+    """
+    exp, q = make_field(p).exp_table, p - 1
+    for zero in (1, 0):
+        w = n - zero
+        if w > q:
+            continue
+        if w <= 1:
+            yield zero | w << 1  # {0}, {1} or {0, 1}: one class each
+            continue
+        # gaps[t] for t in 1..w-1 (the last gap is what they leave of q), per[t]
+        # the period of the longest Lyndon prefix of gaps[1..t], rest[t] = q
+        # minus their sum and masks[t] the set of the first t + 1 elements
+        gaps, hi, per, rest, masks = ([0] * w for _ in range(5))
+        rest[0], masks[0] = q, zero | 2
+        t, hi[1] = 1, q // w  # gaps[1] is the least gap
+        while t:
+            j = gaps[t] + 1
+            if j > hi[t]:
+                t -= 1
+                continue
+            gaps[t] = j
+            per[t] = t if t == 1 or j > gaps[t - per[t - 1]] else per[t - 1]
+            r = rest[t] = rest[t - 1] - j
+            mask = masks[t] = masks[t - 1] | 1 << exp[q - r]
+            if t + 1 < w:
+                t += 1
+                gaps[t] = gaps[t - per[t - 1]] - 1
+                hi[t] = r - (w - t) * gaps[1]
+            elif r > gaps[w - per[t]] or r == gaps[w - per[t]] and w % per[t] == 0:
+                yield mask
+
+
+def _stream_key(field: PrimeField, A: FSet) -> tuple[bool, list[int]] | None:
+    """Where _class_masks yields A: (0 not in A, gap sequence); None if it yields another set of A's class."""
+    logs = sorted(field.dlog_table[a] for a in A if a)
+    if logs and logs[0]:
+        return None
+    gaps = [b - a for a, b in zip(logs, logs[1:] + [field.p - 1])]
+    per = 1  # the necklace test of the recursion: O(n)
+    for t in range(1, len(gaps)):
+        if gaps[t] < gaps[t - per]:
+            return None
+        if gaps[t] > gaps[t - per]:
+            per = t + 1
+    return None if len(gaps) % per else (0 not in A, gaps)
 
 
 def _fresh_state(p: int, n: int) -> dict:
@@ -128,7 +190,7 @@ def _fresh_state(p: int, n: int) -> dict:
 
 
 def _merge(state: dict, best: int | None, witnesses: list[int], classes: int) -> None:
-    """Fold a scanned range's (best, witness masks, classes) into state."""
+    """Fold a scanned block's (best, witness masks, classes) into state."""
     state["classes_visited"] += classes
     if best is None:
         return
@@ -138,13 +200,19 @@ def _merge(state: dict, best: int | None, witnesses: list[int], classes: int) ->
         state["witnesses"].extend(witnesses)
 
 
-def _scan_chunk(p: int, n: int, start: int, stop: int) -> dict:
-    """The state of a scan of candidates [start, stop) alone."""
+def _scan_chunk(p: int, n: int, masks: Iterable[int]) -> dict:
+    """The state of a scan of one block of the class stream alone."""
     field = make_field(p)
     state = _fresh_state(p, n)
-    for mask in _class_reps(p, n, start, stop):
+    for mask in masks:
         _merge(state, objective(field.fset_from_mask(mask)), [mask], 1)
     return state
+
+
+def _pooled(pool, score: Callable, blocks: Iterator[list[int]], width: int) -> Iterator[dict]:
+    """pool.map(score, blocks), holding at most width blocks of masks at a time."""
+    while window := list(islice(blocks, width)):
+        yield from pool.map(score, window)
 
 
 def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
@@ -164,26 +232,25 @@ def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
         raise BadParameters("checkpoint does not match this search")
     if not 0 <= state["cursor"] <= total:
         raise BadParameters(f"checkpoint cursor {state['cursor']} is outside [0, {total}]")
-    if not 0 <= state["classes_visited"] <= state["cursor"]:
-        raise BadParameters("checkpoint classes_visited is outside [0, cursor]")
+    if state["classes_visited"] != state["cursor"]:
+        raise BadParameters("checkpoint classes_visited differs from cursor, which counts classes")
     if (state["best_value"] is None) != (not state["witnesses"]):
         raise BadParameters("checkpoint best_value and witnesses must be both empty or both set")
     if len(state["witnesses"]) > state["classes_visited"]:
         raise BadParameters("checkpoint has more witnesses than classes_visited")
     field = make_field(p)
-    scanned = []
+    keys = []
     for m in state["witnesses"]:
         if not (0 <= m < 1 << p and m.bit_count() == n):
             raise BadParameters(f"checkpoint witness {m} is not a mask of {n} elements of F_{p}")
         A = field.fset_from_mask(m)
-        # _class_reps keeps each class at the least of its dilates that contain 1
-        if m != min((dilate(A, field.inv(a)).mask for a in A if a), default=m):
+        key = _stream_key(field, A)
+        if key is None:
             raise BadParameters(f"checkpoint witness {m} is not the set the scan keeps for its class")
         if objective(A) != state["best_value"]:
             raise BadParameters(f"checkpoint witness {m} does not reach best_value")
-        scanned.append(A.elements())
-    # the scan appends witnesses in candidate order, which is the order of their sorted elements
-    if any(a >= b for a, b in zip(scanned, scanned[1:])):
+        keys.append(key)
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         raise BadParameters("checkpoint witnesses are not distinct and in scan order")
     return state
 
@@ -213,14 +280,15 @@ def exhaustive_extremal(
 ) -> SearchRecord:
     """Exact minimum of max{|A+A|,|AA|} over |A| = n, one set per dilation class.
 
-    The candidates of _class_reps are scanned in chunks of
-    min(checkpoint_every, ceil(remaining / workers)), in order, by `workers`
-    processes.  With a checkpoint_path the state (cursor, best, witnesses,
-    classes) is written atomically after every chunk and the run resumes
-    from an existing file; a resumed run is bit-identical to an
-    uninterrupted one at any worker count.  max_steps stops early after that
-    many candidates (checkpoint then holds the cursor); it exists to
-    exercise resumption deterministically.
+    This process walks the classes of _class_masks in chunks of
+    min(checkpoint_every, ceil(remaining / workers)) and scores them, in
+    order, itself or on `workers` processes; fewer than POOL_MIN_CLASSES
+    remaining classes are scored here whatever `workers` is.  With a
+    checkpoint_path the state (cursor, best, witnesses, classes) is written
+    atomically after every chunk and the run resumes from an existing file;
+    a resumed run is bit-identical to an uninterrupted one at any worker
+    count.  max_steps stops early after that many classes (checkpoint then
+    holds the cursor); it exists to exercise resumption deterministically.
     """
     if n < 1 or n > p:
         raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
@@ -232,8 +300,7 @@ def exhaustive_extremal(
             f"{workers} workers exceed the guard of {max_workers} ({WORKERS_PER_CPU} per CPU)"
         )
     field = make_field(p)
-    _class_count_guard(p, n)
-    total = math.comb(p - 1, n - 1) + (n == 1)
+    total = _class_count_guard(p, n)
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path, p, n, total)
     elif checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
@@ -242,18 +309,26 @@ def exhaustive_extremal(
         state = _fresh_state(p, n)
     start = state["cursor"]
     stop = total if max_steps is None else min(total, start + max_steps)
+    if stop - start < POOL_MIN_CLASSES:
+        workers = 1
     size = max(1, min(checkpoint_every, -(-(stop - start) // workers)))
     los = range(start, stop, size)
     his = [min(lo + size, stop) for lo in los]
+    stream = islice(_class_masks(p, n), start, None)
+    blocks = (islice(stream, hi - lo) for lo, hi in zip(los, his))
+    score = partial(_scan_chunk, p, n)
     if workers > 1:  # the pool's imports are paid only by a run that starts one
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(_scan_chunk, repeat(p), repeat(n), los, his)
+        parts = _pooled(pool, score, map(list, blocks), workers) if pool else map(score, blocks)
         for hi, part in zip(his, parts):
             _merge(state, part["best_value"], part["witnesses"], part["classes_visited"])
             state["cursor"] = hi
             if checkpoint_path:
                 _write_checkpoint(checkpoint_path, state)
+    if state["cursor"] == total:
+        check(state["classes_visited"] == total and next(stream, None) is None,
+              f"the class stream of ({p}, {n}) does not hold the {total} classes of Burnside's count")
     if state["best_value"] is None:
         raise BadParameters("max_steps exhausted before any class was visited")
     witnesses = sorted((canonical_form(field.fset_from_mask(m)) for m in state["witnesses"]),
@@ -263,27 +338,41 @@ def exhaustive_extremal(
     )
 
 
-def anneal_extremal(p: int, n: int, seed: int = 0, iters: int = 10_000) -> SearchRecord:
-    """Seed-deterministic simulated annealing over n-subsets of F_p.
+def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(objective, sorted elements) of every set the anneal scores: start, then each proposal.
 
-    Starts from the progression {1..n}; a move swaps one element in/out;
-    Metropolis acceptance on the objective difference at a temperature
-    that starts at ANNEAL_T0 and is multiplied by ANNEAL_COOLING after
-    each move.  iters counts objective evaluations, so iters=1 reports
-    the initial set unchanged.
+    The counts of pair sums and products a <= b by residue, and how many of
+    each are nonzero, follow the current set: a move (drop d, add x)
+    updates O(n) of them, and a rejected move takes them back.
     """
-    if n < 1 or n > p - 1:
-        raise BadParameters(f"need 1 <= n <= p-1, got n={n}, p={p}")
-    if iters < 1:
-        raise BadParameters("iters must be >= 1")
-    field = make_field(p)
-    rng = random.Random(seed)
-    current = set(range(1, n + 1))
-    cur_val = objective(field.fset(current))
-    best_val, best_set = cur_val, current
-    temp = ANNEAL_T0
-    for _ in range(iters - 1):
-        members = sorted(current)
+    p = field.p
+    members: list[int] = []
+    sums, prods, nonzero = [0] * p, [0] * p, [0, 0]
+
+    def shift(x: int, step: int) -> None:
+        """Add step to the counts of x + b and x * b for each member b, x among them."""
+        edge = step < 0  # the count a residue leaves as it turns: 0 on adding, 1 on removing
+        turned_sums = turned_prods = 0
+        for b in members:
+            k = (x + b) % p
+            c = sums[k]
+            sums[k] = c + step
+            turned_sums += c == edge
+            k = x * b % p
+            c = prods[k]
+            prods[k] = c + step
+            turned_prods += c == edge
+        nonzero[0] += step * turned_sums
+        nonzero[1] += step * turned_prods
+
+    for x in sorted(start):
+        members.append(x)
+        shift(x, 1)
+    value = max(nonzero)
+    yield value, tuple(members)
+    n, temp = len(members), ANNEAL_T0
+    while True:
         drop = rng.choice(members)
         # the add-th smallest non-member, the draw of rng.choice on their sorted list
         add = rng.randrange(p - n)
@@ -291,14 +380,40 @@ def anneal_extremal(p: int, n: int, seed: int = 0, iters: int = 10_000) -> Searc
             if c > add:
                 break
             add += 1
-        proposal = current - {drop} | {add}
-        val = objective(field.fset(proposal))
-        delta = val - cur_val
+        shift(drop, -1)
+        members.remove(drop)
+        insort(members, add)
+        shift(add, 1)
+        val = max(nonzero)
+        yield val, tuple(members)
+        delta = val - value
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
-            current, cur_val = proposal, val
-            if val < best_val:
-                best_val, best_set = val, current
+            value = val
+        else:
+            shift(add, -1)
+            members.remove(add)
+            insort(members, drop)
+            shift(drop, 1)
         temp *= ANNEAL_COOLING
+
+
+def anneal_extremal(p: int, n: int, seed: int = 0, iters: int = 10_000) -> SearchRecord:
+    """Seed-deterministic simulated annealing over n-subsets of F_p.
+
+    Starts from the progression {1..n}; a move swaps one element in/out;
+    Metropolis acceptance on the objective difference at a temperature
+    that starts at ANNEAL_T0 and is multiplied by ANNEAL_COOLING after
+    each move.  iters counts the sets scored, the start set among them, so
+    iters=1 reports the initial set unchanged.  The record holds the first
+    set of least objective; it was accepted, since it beat the current set.
+    """
+    if n < 1 or n > p - 1:
+        raise BadParameters(f"need 1 <= n <= p-1, got n={n}, p={p}")
+    if iters < 1:
+        raise BadParameters("iters must be >= 1")
+    field = make_field(p)
+    walk = _anneal_walk(field, range(1, n + 1), random.Random(seed))
+    best_val, best_set = min(islice(walk, iters), key=lambda scored: scored[0])
     return SearchRecord(
         p, n, best_val, (canonical_form(field.fset(best_set)),), "anneal", seed, iters
     )
@@ -339,7 +454,7 @@ def ratio_threshold_scan(p: int) -> RatioScanTable:
     max_n = 0
     for n in range(2, p + 1):
         _class_count_guard(p, n)
-        reps = (field.fset_from_mask(m) for m in _class_reps(p, n))
+        reps = map(field.fset_from_mask, _class_masks(p, n))
         proper = (canonical_form(A) for A in reps if ratio_set(A).card < p)
         witness = min(proper, key=FSet.elements, default=None)
         entries.append(RatioScanEntry(n, witness is not None, witness))

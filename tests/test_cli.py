@@ -152,9 +152,12 @@ class TestExitCodes:
         # a complete state from before the version field
         {"p": 13, "n": 4, "mode": "exhaustive", "cursor": 10, "best_value": 7,
          "witnesses": [15], "seed": None, "classes_visited": 1},
+        # a complete version-2 state: its cursor counted the n-sets holding 1
+        {"version": 2, "p": 13, "n": 4, "mode": "exhaustive", "cursor": 220, "best_value": 7,
+         "witnesses": [15, 195, 4626], "classes_visited": 62},
         # well typed at the final cursor, but {0, 1, 2, 3} has objective 7, not 1
-        {"version": 2, "p": 13, "n": 4, "mode": "exhaustive", "cursor": 220, "best_value": 1,
-         "witnesses": [15], "classes_visited": 1},
+        {"version": 3, "p": 13, "n": 4, "mode": "exhaustive", "cursor": 62, "best_value": 1,
+         "witnesses": [15], "classes_visited": 62},
     ])
     def test_bad_checkpoint_is_two(self, tmp_path, capsys, state):
         ck = tmp_path / "ck.json"
@@ -162,14 +165,15 @@ class TestExitCodes:
         assert run(["extremal", "--p", "13", "--n", "4", "--checkpoint", str(ck)]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-    def test_checkpoint_with_threads(self, tmp_path, capsys):
+    def test_checkpoint_with_threads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sumprod.search.POOL_MIN_CLASSES", 0)  # 62 classes on a real pool
         ck = tmp_path / "ck.json"
         assert run(["extremal", "--p", "13", "--n", "4", "--threads", "1"]) == 0
         serial = capsys.readouterr().out
         argv = ["extremal", "--p", "13", "--n", "4", "--threads", "2", "--checkpoint", str(ck)]
         assert run(argv) == 0
         assert capsys.readouterr().out == serial
-        assert json.loads(ck.read_text())["cursor"] == 220  # C(12, 3): every candidate
+        assert json.loads(ck.read_text())["cursor"] == 62  # every class
         assert run(argv) == 0  # resumes from the finished checkpoint
         assert capsys.readouterr().out == serial
 
@@ -322,7 +326,8 @@ FRESH_RUNS = {
     "chain_t13.json": (*CORE, "sumprod.energy", "sumprod.lemmas", "sumprod.chains"),
     "extremal.json": (*CORE, "sumprod.search"),
     "scan_ratio.json": (*CORE, "sumprod.search"),
-    # a run that starts a process pool: the golden extremal bytes from two workers
+    # two workers asked for: 4 classes are below search.POOL_MIN_CLASSES, so
+    # the golden extremal bytes come from this process, with no pool
     "extremal.json --threads 2": (*CORE, "sumprod.search"),
 }
 
@@ -344,7 +349,7 @@ def test_fresh_process_loads_only_what_it_runs(case):
     assert sorted(m for m in loaded if m.split(".")[0] == "sumprod") == sorted(want)
     assert "numpy" not in loaded
     # the process pool's imports are paid only by a run that starts one
-    assert ("multiprocessing" in loaded) == ("--threads 2" in case)
+    assert "multiprocessing" not in loaded
 
 
 # Seeded sets at p = 65521 of the shapes the CLI benchmark runs: every histogram

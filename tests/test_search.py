@@ -1,16 +1,25 @@
 import json
 import math
+import os
+import pathlib
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import chain, combinations, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sumprod.search
-from sumprod.core import make_field, product_set, ratio_set, sumset
+from sumprod.core import dilate, make_field, product_set, ratio_set, sumset
 from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
     _PAIR_LIMIT,
+    _anneal_walk,
+    _class_count,
+    _class_count_guard,
+    _class_masks,
+    _stream_key,
     anneal_extremal,
     canonical_form,
     exhaustive_extremal,
@@ -54,6 +63,31 @@ def lex_ratio_scan(p: int) -> list[tuple[int, int | None]]:
         out.append((n, None if first is None else first.mask))
         if first is None:
             return out
+
+
+def class_reps(p: int, n: int):
+    """Masks of one n-set per dilation class, by a dilate test on the n-sets holding 1.
+
+    A class with a nonzero element a also holds a^-1 A, which contains 1,
+    so the candidates {1} | T, T an (n-1)-subset of F_p \\ {1} in
+    combinations order, reach every class but {0}, which comes first when
+    n = 1.  The members of the class of S that contain 1 are exactly the
+    a^-1 S with a in S \\ {0}, so keeping S iff its mask is the least of
+    theirs keeps each class once, at O(n^2) per candidate.
+    """
+    inv = [0, 1, *map(make_field(p).inv, range(2, p))]
+    sets = ((1, *T) for T in combinations([0, *range(2, p)], n - 1))
+    if n == 1:
+        sets = chain([(0,)], sets)
+    for S in sets:
+        mask = sum(1 << x for x in S)
+        for a in S:
+            if a > 1:
+                u = inv[a]
+                if sum(1 << (u * x % p) for x in S) < mask:
+                    break
+        else:
+            yield mask
 
 
 OBJECTIVE_PRIMES = (5, 13, 101, 1009, 65521)
@@ -131,6 +165,79 @@ class TestCanonicalForm:
             canonical_form(F7.fset([]))
 
 
+# the exhaustive cells of criterion 8 and of the brute-force records, then
+# n = 1, p - 1 and p at each of their primes
+STREAM_CELLS = sorted({(7, 2), (13, 4), (5, 1), (7, 7), (11, 3), (11, 4), (17, 5)}
+                      | {(p, n) for p in (5, 7, 11, 13, 17) for n in (1, p - 1, p)})
+
+
+class TestClassStream:
+    @pytest.mark.parametrize("p,n", STREAM_CELLS)
+    def test_one_set_per_class_against_the_dilate_test(self, p, n):
+        field = make_field(p)
+        masks = list(_class_masks(p, n))
+        canon = [canonical_form(field.fset_from_mask(m)).mask for m in masks]
+        oracle = [canonical_form(field.fset_from_mask(m)).mask for m in class_reps(p, n)]
+        assert all(m.bit_count() == n for m in masks)
+        assert len(set(canon)) == len(canon) == _class_count(p, n)
+        assert sorted(canon) == sorted(oracle)
+
+    @pytest.mark.parametrize("p,n", STREAM_CELLS)
+    def test_stream_keys_are_increasing(self, p, n):
+        # the checkpoint's tests: every set of the stream is recognised as its
+        # class's set, in stream order, and no other set of its class is
+        field = make_field(p)
+        keys = []
+        for m in _class_masks(p, n):
+            A = field.fset_from_mask(m)
+            keys.append(_stream_key(field, A))
+            others = {dilate(A, u).mask for u in range(2, p)} - {m}
+            assert all(_stream_key(field, field.fset_from_mask(o)) is None for o in others)
+        assert None not in keys and all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
+    def test_class_count_is_burnside(self, p):
+        for n in range(1, min(p, 5) + 1):
+            assert _class_count(p, n) == sum(1 for _ in _class_masks(p, n))
+        for n in (p - 1, p):
+            assert _class_count(p, n) == 2 - (n == p)
+
+    def test_dense_stream_needs_no_deep_recursion(self):
+        # n - 1 gaps of 1 to walk, past the interpreter's recursion limit
+        assert [sum(1 for _ in _class_masks(1009, n)) for n in (1008, 1009)] == [2, 1]
+
+    def test_class_count_guard(self):
+        # (101, 23) is far above the guard; (53, 7) has 2,964,340 classes
+        assert _class_count(53, 7) == 2_964_340
+        with pytest.raises(GuardExceeded, match=r"\d+ dilation classes"):
+            _class_count_guard(101, 23)
+
+    @pytest.mark.parametrize("mangle", ["drop", "repeat"])
+    def test_scan_checks_the_class_count_under_O(self, mangle):
+        # a stream that loses or repeats a class fails an errors.check, which
+        # python -O keeps, unlike an assert
+        code = (
+            "import sys\n"
+            "import sumprod.search as s\n"
+            "from sumprod.errors import InvariantViolated\n"
+            "full = s._class_masks\n"
+            f"mangle = {mangle!r}\n"
+            "def stream(p, n):\n"
+            "    masks = list(full(p, n))\n"
+            "    return iter(masks[1:] if mangle == 'drop' else masks + masks[-1:])\n"
+            "s._class_masks = stream\n"
+            "try:\n"
+            "    s.exhaustive_extremal(11, 3)\n"
+            "except InvariantViolated as e:\n"
+            "    print(sys.flags.optimize, e)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("1 the class stream of (11, 3) does not hold the 17 classes")
+
+
 class TestExhaustive:
     def test_trivial_and_derived(self):
         assert exhaustive_extremal(7, 1).best_value == 1
@@ -158,11 +265,11 @@ class TestExhaustive:
 
     def test_checkpoint_resume_bit_identical(self, tmp_path):
         ck = tmp_path / "ck.json"
-        full = exhaustive_extremal(11, 3)
-        exhaustive_extremal(11, 3, checkpoint_path=str(ck), checkpoint_every=7, max_steps=30)
+        full = exhaustive_extremal(13, 4)
+        exhaustive_extremal(13, 4, checkpoint_path=str(ck), checkpoint_every=7, max_steps=30)
         state = json.loads(ck.read_text())
         assert state["cursor"] == 30 and state["mode"] == "exhaustive"
-        resumed = exhaustive_extremal(11, 3, checkpoint_path=str(ck))
+        resumed = exhaustive_extremal(13, 4, checkpoint_path=str(ck))
         assert resumed.best_value == full.best_value
         assert resumed.witnesses == full.witnesses
         assert resumed.classes_visited == full.classes_visited
@@ -188,46 +295,52 @@ class TestExhaustive:
         got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
         assert got == brute_record(p, n)
 
-    def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path):
+    def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)  # a real pool of 2
         ck = tmp_path / "ck.json"
-        full = exhaustive_extremal(11, 3)
-        exhaustive_extremal(11, 3, workers=2, checkpoint_path=str(ck), checkpoint_every=7,
+        full = exhaustive_extremal(13, 4)
+        exhaustive_extremal(13, 4, workers=2, checkpoint_path=str(ck), checkpoint_every=7,
                             max_steps=30)
         state = json.loads(ck.read_text())
-        assert state["cursor"] == 30 and state["version"] == 2
-        assert exhaustive_extremal(11, 3, workers=1, checkpoint_path=str(ck)) == full
+        assert state["cursor"] == 30 and state["version"] == 3
+        assert exhaustive_extremal(13, 4, workers=1, checkpoint_path=str(ck)) == full
 
     @pytest.mark.parametrize("edit", [
         {"version": DROP},  # written before versions: the cursor counted all n-subsets
         {"version": 1},
+        {"version": 2},  # the cursor counted the n-sets holding 1
         {"cursor": DROP},
         {"cursor": "3"},
         {"cursor": True},
-        {"cursor": 46},
+        {"cursor": 63},  # (13, 4) has 62 classes
         {"witnesses": [1.5]},
-        {"best_value": "5"},
+        {"best_value": "7"},
         # well typed but inconsistent with the search; the written state has
-        # cursor 30, best_value 5 and witnesses [7, 1027, 42, 146]
+        # cursor 30, best_value 7 and witnesses [15, 4103]
         {"best_value": None},
         {"witnesses": []},
-        {"witnesses": [-7]},
-        {"witnesses": [1 << 11 | 3]},
-        {"witnesses": [15]},
-        {"best_value": 6},
+        {"witnesses": [-15]},
+        {"witnesses": [1 << 13 | 7]},
+        {"witnesses": [7]},
+        {"best_value": 8},
         {"classes_visited": -5},
+        {"classes_visited": 29},  # the cursor counts classes, so they agree
         {"classes_visited": 31},
-        {"witnesses": [7, 7, 42, 146]},  # a class twice
-        {"witnesses": [7, 42, 1027, 146]},  # out of scan order
-        {"witnesses": [7, 1027, 42, 146, 97]},  # 97 = {0, 5, 6} is the class of 1027
-        {"witnesses": [7, 97, 42, 146]},
-        {"classes_visited": 3},  # fewer than the four witnesses
+        {"witnesses": [15, 15]},  # a class twice
+        {"witnesses": [4103, 15]},  # out of stream order
+        # 6147 = {0, 1, 11, 12} is the class of 4103 = {0, 1, 2, 12} under
+        # x -> -x, but its gap sequence of logs to base 2 is (6, 1, 5), not
+        # the least rotation (1, 5, 6)
+        {"witnesses": [15, 4103, 6147]},
+        {"witnesses": [15, 6147]},
+        {"cursor": 1, "classes_visited": 1},  # fewer classes than the two witnesses
     ])
     def test_bad_checkpoint(self, tmp_path, edit):
         ck = tmp_path / "ck.json"
-        exhaustive_extremal(11, 3, checkpoint_path=str(ck), max_steps=30)
+        exhaustive_extremal(13, 4, checkpoint_path=str(ck), max_steps=30)
         state = json.loads(ck.read_text())
-        assert (state["cursor"], state["best_value"]) == (30, 5)
-        assert state["witnesses"] == [7, 1027, 42, 146]
+        assert (state["cursor"], state["best_value"]) == (30, 7)
+        assert state["witnesses"] == [15, 4103]
         for key, value in edit.items():
             if value is DROP:
                 del state[key]
@@ -235,9 +348,15 @@ class TestExhaustive:
                 state[key] = value
         ck.write_text(json.dumps(state))
         with pytest.raises(BadParameters):
-            exhaustive_extremal(11, 3, checkpoint_path=str(ck))
+            exhaustive_extremal(13, 4, checkpoint_path=str(ck))
 
-    def test_worker_guard_on_one_cpu(self, one_cpu_pools):
+    def test_small_scan_starts_no_pool(self, one_cpu_pools):
+        # 17 classes repay no process start, whatever the worker count
+        assert exhaustive_extremal(11, 3, workers=4) == exhaustive_extremal(11, 3)
+        assert one_cpu_pools == []
+
+    def test_worker_guard_on_one_cpu(self, one_cpu_pools, monkeypatch):
+        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)
         serial = exhaustive_extremal(11, 3)
         for workers in (2, 3, 4):
             assert exhaustive_extremal(11, 3, workers=workers) == serial
@@ -250,7 +369,8 @@ class TestExhaustive:
                 exhaustive_extremal(11, 3, workers=workers)
         assert one_cpu_pools == []
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)  # a real pool of 3
         serial = exhaustive_extremal(11, 4)
         parallel = exhaustive_extremal(11, 4, workers=3)
         assert parallel.best_value == serial.best_value
@@ -258,7 +378,30 @@ class TestExhaustive:
         assert parallel.classes_visited == serial.classes_visited
 
 
+@st.composite
+def _anneal_start(draw):
+    p = draw(st.sampled_from((5, 13, 101, 1009)))
+    zero = draw(st.booleans())
+    # up to 30 elements: objective's 256-pair gate falls at n = 23; at most
+    # p - 1, so that a move has a non-member to add
+    units = draw(st.sets(st.integers(1, p - 1), min_size=1 - zero, max_size=min(p - 2, 30)))
+    return make_field(p), units | {0} if zero else units, draw(st.integers(0, 2**32))
+
+
 class TestAnneal:
+    @settings(max_examples=60, deadline=None)
+    @given(_anneal_start())
+    @example((make_field(1009), set(range(30)), 7))
+    @example((make_field(13), {0, 5}, 3))
+    def test_walk_scores_every_set_as_objective(self, case):
+        # every scored set, accepted or rejected, so the counts a rejected
+        # move takes back are checked by the next proposal's value
+        field, start, seed = case
+        walk = _anneal_walk(field, start, random.Random(seed))
+        for val, members in islice(walk, 40):
+            assert len(members) == len(start) and list(members) == sorted(set(members))
+            assert val == objective(field.fset(members))
+
     def test_never_below_exhaustive(self):
         floor = exhaustive_extremal(13, 4).best_value
         for seed in range(5):
