@@ -286,35 +286,41 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     lz = [dlog[z] for z in Z if z]
     r = pair_counts(lz, lz, q)
     z0 = Z.mask & 1  # [0 in Z]
-    logs = [dlog[y] for y in Y if y]
+    els = Y.elements()  # ascending, so the first largest row wins
+    logs = [dlog[y] for y in els if y]
     pivot, s_sum, e_val = -1, -1, 0
-    for y0 in sorted(Y):
+    for y0 in els:
         if y0:
+            # a log difference lies in (-q, q); r[-k] is r[q - k]
             l0 = dlog[y0]
-            row = sum(r[(ly - l0) % q] for ly in logs) + z0 * Y.card
+            row = z0 * Y.card
+            for ly in logs:
+                row += r[ly - l0]
         else:
             row = 1 + z0 * (Y.card - 1)
         e_val += row  # the rows add up to Ex(Y, Z) exactly
         if row > s_sum:
             pivot, s_sum = y0, row
     check(s_sum * Y.card >= e_val, "pivot pigeonhole broken")
-    j_max = bucket_index(Z.card)
-    bucket_masks = {j: 0 for j in range(1, j_max + 1)}
-    for y in Y:
+    bucket_masks = dict.fromkeys(range(1, bucket_index(Z.card) + 1), 0)
+    lp = dlog[pivot] if pivot else 0
+    for y in els:
         if y and pivot:
-            v = r[(dlog[y] - dlog[pivot]) % q] + z0
+            v = r[dlog[y] - lp] + z0
         else:
             v = 1 if y == pivot else z0
-        if v:
-            bucket_masks[bucket_index(v)] |= 1 << y
-    buckets = {j: field.fset_from_mask(m) for j, m in bucket_masks.items()}
-    lhs = max((16**j * b.card**3 for j, b in buckets.items() if b.card), default=0)
-    # size classes run to ceil(log2 |Y|) so every nonempty bucket lands in one
-    s_max = bucket_index(Y.card)
-    js_seq = {
-        s: max((j for j, b in buckets.items() if b.card and bucket_index(b.card) == s), default=0)
-        for s in range(1, s_max + 1)
-    }
+        if v:  # bucket_index(v), inlined
+            bucket_masks[(v - 1).bit_length() or 1] |= 1 << y
+    buckets = {}
+    lhs = 0
+    # size classes run to ceil(log2 |Y|) so every nonempty bucket lands in one;
+    # the walk goes up in j, so each class keeps its largest j
+    js_seq = dict.fromkeys(range(1, bucket_index(Y.card) + 1), 0)
+    for j, m in bucket_masks.items():
+        b = buckets[j] = field.fset_from_mask(m)
+        if b.card:
+            lhs = max(lhs, 16**j * b.card**3)
+            js_seq[(b.card - 1).bit_length() or 1] = j
     return BucketDecomposition(
         pivot=pivot,
         buckets=buckets,

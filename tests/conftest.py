@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sumprod import search
-from sumprod.chains import _p51
+from sumprod.chains import _p51, _pair_decomposition
 from sumprod.core import make_field
 
 # Primes used by the seeded random suite (5 .. 257).
@@ -41,9 +41,10 @@ def suite_instances(count=1000, seed=SUITE_SEED):
 
 
 @pytest.fixture(autouse=True)
-def _cold_p51_memo():
-    """Every test starts with an empty P51 memo, so none passes by test order."""
+def _cold_pair_memos():
+    """Every test starts with empty P51 and (A*, B*) memos, so none passes by test order."""
     _p51.cache_clear()
+    _pair_decomposition.cache_clear()
 
 
 @pytest.fixture(scope="session")

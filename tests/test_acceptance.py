@@ -6,6 +6,7 @@ tests/data/regression_floors.json (refresh deliberately with
 scripts/freeze_regressions.py).
 """
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -19,7 +20,7 @@ import pytest
 from conftest import SUITE_PRIMES, record_criterion, suite_instances
 from _sweeps import chain_sweep, chang_min_ratio, _final_key
 
-from sumprod.chains import EXACT, _p51
+from sumprod.chains import EXACT, _p51, _pair_decomposition
 from sumprod.cli import run
 from sumprod.core import MINUS, PLUS, make_field, product_set, sumset
 from sumprod.energy import (
@@ -158,8 +159,8 @@ def test_criterion_7_chain_verifiers():
         violations, floors, digest = chain_sweep()
         assert violations == []
         assert digest == FLOORS["chain_report_digest"]
-        memo = _p51.cache_info()
-        assert memo.currsize <= memo.maxsize
+        for memo in (_p51.cache_info(), _pair_decomposition.cache_info()):
+            assert memo.currsize <= memo.maxsize
         frozen = FLOORS["chain_final_floors"]
         assert set(floors) == set(frozen)
         for key, ratio in floors.items():
@@ -232,3 +233,33 @@ def test_chain_floor_keys_documented():
     assert all(":" not in k or k.split(":")[0] in
                {"T11", "T12", "P51", "T13", "T14", "T15", "REMARK"} for k in sample_keys)
     assert _final_key is not None
+
+
+def _freeze_script():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "freeze_regressions.py"
+    spec = importlib.util.spec_from_file_location("freeze_regressions", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_freeze_check_compares_without_writing(monkeypatch, capsys):
+    # the sweep is stubbed with the frozen values: criterion 7 runs the real one
+    script = _freeze_script()
+    frozen_bytes = (DATA / "regression_floors.json").read_bytes()
+    floors = {k: Fraction(v["num"], v["den"]) for k, v in FLOORS["chain_final_floors"].items()}
+    chang = FLOORS["chang_ratio_floor"]
+    monkeypatch.setattr(script, "chang_min_ratio", lambda _: Fraction(chang["num"], chang["den"]))
+    monkeypatch.setattr(script, "suite_instances", lambda: [])
+    cases = [
+        ({}, FLOORS["chain_report_digest"], 0, []),
+        ({"T15": floors["T15"] / 2}, FLOORS["chain_report_digest"], 1, ["chain_final_floors[T15]"]),
+        ({}, "0" * 64, 1, ["chain_report_digest"]),
+    ]
+    for changed, digest, status, named in cases:
+        now = dict(floors, **changed)
+        monkeypatch.setattr(script, "chain_sweep", lambda: ([], now, digest))
+        assert script.main(["--check"]) == status
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in err.splitlines()] == named
+    assert (DATA / "regression_floors.json").read_bytes() == frozen_bytes

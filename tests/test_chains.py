@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from sumprod import chains
 from sumprod.chains import (
     DIAGNOSTIC,
     EXACT,
+    ChainStep,
     chain_balanced,
     chain_large,
     chain_small,
@@ -256,14 +259,16 @@ MEMO_CALLS = {
     "P51": prop51_audit,
     "T13": lambda A, B: chain_unbalanced(A, B, "T13"),
     "T14": lambda A, B: chain_unbalanced(A, B, "T14"),
+    "T15": chain_balanced,
 }
 
 
 @pytest.fixture
 def unmemoized(monkeypatch):
-    """Every (pair, theorem) report computed with the memo bypassed."""
+    """Every (pair, theorem) report computed with both memos bypassed."""
     with monkeypatch.context() as m:
         m.setattr(chains, "_p51", chains._p51.__wrapped__)
+        m.setattr(chains, "_pair_decomposition", chains._pair_decomposition.__wrapped__)
         return {(i, name): call(A, B) for i, (A, B) in enumerate(MEMO_PAIRS)
                 for name, call in MEMO_CALLS.items()}
 
@@ -276,6 +281,7 @@ class TestP51Memo:
                 for name in order:
                     assert MEMO_CALLS[name](A, B) == unmemoized[i, name]
             chains._p51.cache_clear()
+            chains._pair_decomposition.cache_clear()
             assert MEMO_CALLS[order[-1]](A, B) == unmemoized[i, order[-1]]
 
     def test_interleaved_pairs(self, unmemoized):
@@ -319,3 +325,89 @@ class TestP51Memo:
         info = chains._p51.cache_info()
         assert info.currsize <= maxsize < info.misses
         assert info.hits == 2 * info.misses  # T13 and T14 reuse the P51 run
+
+
+class TestPairDecompositionMemo:
+    """P51 and T15 open on one (A*, B*) decomposition, kept in _pair_decomposition."""
+
+    def test_t15_reuses_the_p51_decomposition(self, monkeypatch):
+        calls = []
+        decompose = chains.chang_decompose
+        monkeypatch.setattr(chains, "chang_decompose", lambda Y, Z: calls.append((Y, Z)) or decompose(Y, Z))
+        A, B = MEMO_PAIRS[3]  # 0 in both: the decomposition is of A* and B*
+        p51 = prop51_audit(A, B)
+        t15 = chain_balanced(A, B)
+        assert calls == [(F11.fset([1, 2, 3, 4]), F11.fset([1, 2]))]
+        assert chains._pair_decomposition.cache_info().hits == 1
+        # each keeps its own pivot label
+        assert "a0 pigeonhole: Ex(A*,B*) <= s_sum*|A*|" in [s.name for s in p51.steps]
+        assert "pivot pigeonhole: Ex(A*,B*) <= s_sum*|A*|" in [s.name for s in t15.steps]
+
+    def test_cold_t15_gives_the_same_report(self):
+        for A, B in MEMO_PAIRS:
+            chains._pair_decomposition.cache_clear()
+            cold = chain_balanced(A, B)
+            assert chains._pair_decomposition.cache_info().misses == 1
+            prop51_audit(A, B)
+            assert chain_balanced(A, B) == cold
+
+    def test_lone_zero_refused_with_a_warm_memo(self):
+        # the refusal runs before the memo, even when the memo holds the pair itself
+        zero, X = F5.fset([0]), F5.fset([1, 2])
+        for A, B in ((zero, X), (X, zero)):
+            chain_balanced(zero, zero)
+            prop51_audit(X, X)
+            chains._pair_decomposition(A, B)
+            for call in PAIR_CHAINS.values():
+                with pytest.raises(EmptyOperand, match=r"both be \{0\}"):
+                    call(A, B)
+
+    def test_bounded(self):
+        maxsize = chains._pair_decomposition.cache_info().maxsize
+        assert maxsize is not None
+        for combo in itertools.combinations(range(7), 3):
+            A = F7.fset(combo)
+            prop51_audit(A, A)
+            chain_balanced(A, A)
+        info = chains._pair_decomposition.cache_info()
+        assert info.currsize <= maxsize < info.misses
+        assert info.hits == info.misses  # T15 reuses each P51 run
+
+
+STEP_FIELDS = ["name", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "kind", "passed"]
+
+
+class TestChainStep:
+    def test_init_keeps_the_frozen_dataclass_behaviour(self):
+        s = ChainStep("zero removal", 3, 1, 4, 1, EXACT, True)
+        assert [f.name for f in dataclasses.fields(s)] == STEP_FIELDS
+        assert ChainStep(**dict(zip(STEP_FIELDS, ("zero removal", 3, 1, 4, 1, EXACT, True)))) == s
+        assert chains.exact_step("zero removal", 3, 4) == s
+        for name in STEP_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s.kind
+        # a name that is no field has no slot either; Python 3.11's frozen
+        # __setattr__ tests it against the class as it was before slots were
+        # added, so it can end in super()'s TypeError rather than FrozenInstanceError
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            s.other = 0
+        assert not hasattr(s, "other")
+        t = dataclasses.replace(s, rhs_num=2, passed=False)
+        assert (t.name, t.lhs_num, t.rhs_num, t.passed) == ("zero removal", 3, 2, False)
+        assert (s.rhs_num, s.passed) == (4, True) and t != s
+        assert hash(s) == hash(("zero removal", 3, 1, 4, 1, EXACT, True))
+        assert repr(s) == (
+            "ChainStep(name='zero removal', lhs_num=3, lhs_den=1, rhs_num=4, rhs_den=1, kind='exact', passed=True)"
+        )
+        assert s != ("zero removal", 3, 1, 4, 1, EXACT, True)
+        assert s.ratio == Fraction(3, 4)
+
+    def test_slotted(self):
+        s = chains.diag_step("final", 5, 7, 2, 3)
+        assert not hasattr(s, "__dict__") and ChainStep.__slots__ == tuple(STEP_FIELDS)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back is not s and back.passed is None
+        report = chain_small(F7.fset([1, 2, 3]))
+        assert pickle.loads(pickle.dumps(report)) == report

@@ -516,17 +516,47 @@ def test_chang_rows_add_up_to_multiplicative_energy(yz):
 
 
 def chang_scan(Y, Z):
-    """(pivot, s_sum, energy, {bucket index: mask}) from every |y0*Z cap y*Z| by masks."""
+    """Every field of chang_decompose, from each |y0*Z cap y*Z| by masks and the formulas as written.
+
+    Dicts come as their lists of items, so key order counts: js_seq for
+    every size class s from 1 to Lg(|Y|), buckets as (j, mask) for every j
+    from 1 to Lg(|Z|), empty ones included.
+    """
     els = sorted(Y)
     rows = [sum(intersection_count(y0, y, Z, MULTIPLICATIVE) for y in els) for y0 in els]
     s_sum = max(rows)
     pivot = els[rows.index(s_sum)]  # the first y0 with the largest row
-    buckets = {}
+    energy = sum(rows)
+    buckets = {j: 0 for j in range(1, bucket_index(Z.card) + 1)}
     for y in els:
         v = intersection_count(pivot, y, Z, MULTIPLICATIVE)
         if v:
-            buckets[bucket_index(v)] = buckets.get(bucket_index(v), 0) | 1 << y
-    return pivot, s_sum, sum(rows), buckets
+            buckets[bucket_index(v)] |= 1 << y
+    cards = {j: m.bit_count() for j, m in buckets.items()}
+    lhs = max((16**j * c**3 for j, c in cards.items() if c), default=0)
+    # js_seq[s]: the largest j whose bucket size lies in the dyadic class s
+    js_seq = {
+        s: max((j for j, c in cards.items() if c and bucket_index(c) == s), default=0)
+        for s in range(1, bucket_index(Y.card) + 1)
+    }
+    return (pivot, s_sum, energy, lhs, energy**4, Y.card**4 * Z.card, list(js_seq.items()),
+            list(buckets.items()), Y.card, Z.card)
+
+
+def chang_fields(d):
+    """chang_decompose's result in chang_scan's shape."""
+    return (d.pivot, d.s_sum, d.energy, d.lhs, d.rhs_num, d.rhs_den, list(d.js_seq.items()),
+            [(j, b.mask) for j, b in d.buckets.items()], d.y_card, d.z_card)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_chang_decompose_matches_mask_scan_at_sweep_primes(p):
+    # every Y, Z with 1 <= |Y|, |Z| <= 4, with and without 0: the chain sweep's primes
+    field = make_field(p)
+    sets = [field.fset(c) for n in range(1, 5) for c in combinations(range(p), n)]
+    for Y in sets:
+        for Z in sets:
+            assert chang_fields(chang_decompose(Y, Z)) == chang_scan(Y, Z), (list(Y), list(Z))
 
 
 @st.composite
@@ -559,9 +589,7 @@ def _chang_pair(draw):
 @given(_chang_pair())
 def test_chang_decompose_matches_mask_scan(yz):
     Y, Z = yz
-    d = chang_decompose(Y, Z)
-    got = (d.pivot, d.s_sum, d.energy, {j: b.mask for j, b in d.buckets.items() if b.card})
-    assert got == chang_scan(Y, Z)
+    assert chang_fields(chang_decompose(Y, Z)) == chang_scan(Y, Z)
 
 
 @settings(max_examples=40, deadline=None)
