@@ -8,19 +8,11 @@ Writes tests/data/regression_floors.json.  The acceptance tests assert
 that the chang bucket ratio and every chain final ratio never fall below
 these frozen values, and that the sweep's report digest (SHA-256 over
 repr() of every chain report) is unchanged.
-
-    python3 scripts/freeze_regressions.py --check
-
-recomputes the same data and compares it with the frozen file without
-writing it: exit status 0 when every floor and the digest match, 1 (with
-each difference on stderr) when any differs.
 """
 
-import argparse
 import json
 import pathlib
 import sys
-from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -28,15 +20,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 from _sweeps import chain_sweep, chang_min_ratio  # noqa: E402
 from conftest import suite_instances  # noqa: E402
 
-FLOORS = ROOT / "tests" / "data" / "regression_floors.json"
 
-
-def compute() -> dict:
+def main() -> None:
     violations, floors, digest = chain_sweep()
     if violations:
         raise SystemExit(f"exact-step violations present; refusing to freeze: {violations[:5]}")
     chang = chang_min_ratio(suite_instances())
-    return {
+    data = {
         "chang_ratio_floor": {"num": chang.numerator, "den": chang.denominator},
         "chain_final_floors": {
             key: {"num": r.numerator, "den": r.denominator}
@@ -44,42 +34,14 @@ def compute() -> dict:
         },
         "chain_report_digest": digest,
     }
-
-
-def differences(frozen: dict, data: dict) -> list[str]:
-    """One line per top-level entry or chain floor that differs."""
-    out = []
-    for name in sorted(frozen.keys() | data.keys()):
-        if name == "chain_final_floors":
-            old, new = frozen.get(name, {}), data.get(name, {})
-            out += [f"{name}[{key}]: frozen {old.get(key)}, now {new.get(key)}"
-                    for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
-        elif frozen.get(name) != data.get(name):
-            out.append(f"{name}: frozen {frozen.get(name)}, now {data.get(name)}")
-    return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true",
-                    help="compare with the frozen file instead of writing it; exit 1 on any difference")
-    args = ap.parse_args(argv)
-    data = compute()
-    if args.check:
-        diff = differences(json.loads(FLOORS.read_text()), data)
-        for line in diff:
-            print(line, file=sys.stderr)
-        print(f"{FLOORS}: {'differs' if diff else 'matches'} (digest {data['chain_report_digest']})")
-        return 1 if diff else 0
-    FLOORS.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {FLOORS}")
-    chang = data["chang_ratio_floor"]
-    print(f"chang floor: {Fraction(chang['num'], chang['den'])}")
-    print(f"chain report digest: {data['chain_report_digest']}")
-    for key, r in data["chain_final_floors"].items():
-        print(f"  {key}: {Fraction(r['num'], r['den'])}")
-    return 0
+    out = ROOT / "tests" / "data" / "regression_floors.json"
+    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    print(f"chang floor: {chang}")
+    print(f"chain report digest: {digest}")
+    for key, r in sorted(floors.items()):
+        print(f"  {key}: {r}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -67,21 +67,6 @@ class ChainStep:
     kind: str
     passed: bool | None
 
-    def __init__(
-        self, name: str, lhs_num: int, lhs_den: int, rhs_num: int, rhs_den: int, kind: str, passed: bool | None
-    ) -> None:
-        # dataclass keeps a class's own __init__; the generated one looks up
-        # object.__setattr__ for every field, 1.6 against 1.2 us per step on a
-        # shared 2-core x86-64 host, and a chain sweep builds ~310 k steps
-        set_ = object.__setattr__.__get__(self)
-        set_("name", name)
-        set_("lhs_num", lhs_num)
-        set_("lhs_den", lhs_den)
-        set_("rhs_num", rhs_num)
-        set_("rhs_den", rhs_den)
-        set_("kind", kind)
-        set_("passed", passed)
-
     @property
     def ratio(self) -> Fraction:
         return Fraction(self.lhs_num * self.rhs_den, self.lhs_den * self.rhs_num)

@@ -309,8 +309,8 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
             v = r[dlog[y] - lp] + z0
         else:
             v = 1 if y == pivot else z0
-        if v:  # bucket_index(v), inlined
-            bucket_masks[(v - 1).bit_length() or 1] |= 1 << y
+        if v:
+            bucket_masks[bucket_index(v)] |= 1 << y
     buckets = {}
     lhs = 0
     # size classes run to ceil(log2 |Y|) so every nonempty bucket lands in one;
@@ -320,7 +320,7 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
         b = buckets[j] = field.fset_from_mask(m)
         if b.card:
             lhs = max(lhs, 16**j * b.card**3)
-            js_seq[(b.card - 1).bit_length() or 1] = j
+            js_seq[bucket_index(b.card)] = j
     return BucketDecomposition(
         pivot=pivot,
         buckets=buckets,

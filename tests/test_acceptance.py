@@ -6,7 +6,6 @@ tests/data/regression_floors.json (refresh deliberately with
 scripts/freeze_regressions.py).
 """
 
-import importlib.util
 import json
 import math
 import pathlib
@@ -234,32 +233,3 @@ def test_chain_floor_keys_documented():
                {"T11", "T12", "P51", "T13", "T14", "T15", "REMARK"} for k in sample_keys)
     assert _final_key is not None
 
-
-def _freeze_script():
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "freeze_regressions.py"
-    spec = importlib.util.spec_from_file_location("freeze_regressions", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_freeze_check_compares_without_writing(monkeypatch, capsys):
-    # the sweep is stubbed with the frozen values: criterion 7 runs the real one
-    script = _freeze_script()
-    frozen_bytes = (DATA / "regression_floors.json").read_bytes()
-    floors = {k: Fraction(v["num"], v["den"]) for k, v in FLOORS["chain_final_floors"].items()}
-    chang = FLOORS["chang_ratio_floor"]
-    monkeypatch.setattr(script, "chang_min_ratio", lambda _: Fraction(chang["num"], chang["den"]))
-    monkeypatch.setattr(script, "suite_instances", lambda: [])
-    cases = [
-        ({}, FLOORS["chain_report_digest"], 0, []),
-        ({"T15": floors["T15"] / 2}, FLOORS["chain_report_digest"], 1, ["chain_final_floors[T15]"]),
-        ({}, "0" * 64, 1, ["chain_report_digest"]),
-    ]
-    for changed, digest, status, named in cases:
-        now = dict(floors, **changed)
-        monkeypatch.setattr(script, "chain_sweep", lambda: ([], now, digest))
-        assert script.main(["--check"]) == status
-        err = capsys.readouterr().err
-        assert [line.split(":")[0] for line in err.splitlines()] == named
-    assert (DATA / "regression_floors.json").read_bytes() == frozen_bytes
