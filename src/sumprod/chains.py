@@ -21,8 +21,7 @@ from .core import (
     MINUS,
     PLUS,
     FSet,
-    _require_nonempty,
-    _require_same_field,
+    _require_operands,
     _scaled_mask,
     negate,
     pattern_combination,
@@ -206,8 +205,7 @@ def _pair_front(
     A: FSet, B: FSet, pivot: str, steps: list[ChainStep]
 ) -> tuple[FSet, FSet, BucketDecomposition, FSet]:
     """P51 and T15's opening: zero removal, the (A*, B*) decomposition, A*B*, energy floor."""
-    _require_same_field(A, B)
-    _require_nonempty(A, B)
+    _require_operands(A, B)
     if (A.mask == 1) != (B.mask == 1):
         # A* = {0} against a nonzero B*: Ex = |A*B*| = 1, so the floor would ask |B*|^2 <= 1
         raise EmptyOperand("A and B must both be {0} or both have a nonzero element")
@@ -227,7 +225,7 @@ def _pair_front(
 
 def chain_small(A: FSet, sign: str = PLUS) -> ChainReport:
     """Small-set chain: |AsA|^8 |AA|^4 against |A|^13."""
-    _require_nonempty(A)
+    _require_operands(A)
     warnings = []
     p = A.field.p
     if A.card**2 > p:
@@ -254,7 +252,7 @@ def chain_small(A: FSet, sign: str = PLUS) -> ChainReport:
 
 def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
     """Large-set chain: spade/club case split on the ratio set of Z_j0."""
-    _require_nonempty(A)
+    _require_operands(A)
     warnings = []
     p = A.field.p
     if A.card**2 < p:
@@ -500,7 +498,7 @@ def chain_balanced(A: FSet, B: FSet) -> ChainReport:
 
 def energy_bound_audit(A: FSet) -> ChainReport:
     """Remark diagnostics: Ex(A,A)^4 against the mixed-sumset right sides."""
-    _require_nonempty(A)
+    _require_operands(A)
     e4 = multiplicative_energy(A, A).value ** 4
     n = A.card
     a_plus = sumset(A, A, PLUS).card

@@ -77,22 +77,6 @@ _MASK_PASS_ELEMENTS = 256
 _UNION_BLOCK = 64
 
 
-def _is_prime(n: int) -> bool:
-    # Deterministic trial division; documented limit p < 2**63.
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -193,9 +177,8 @@ class PrimeField:
         return self.exp_table[(q - self.dlog_table[x]) % q]
 
     def fset(self, elements: Iterable[int]) -> "FSet":
-        mask = 0
-        for e in elements:
-            mask |= 1 << (e % self.p)
+        p = self.p
+        mask = _mask_from([e % p for e in elements], p)
         return FSet(self, mask, mask.bit_count())
 
     def fset_from_mask(self, mask: int) -> "FSet":
@@ -217,7 +200,7 @@ def make_field(p: int) -> PrimeField:
     if p < 3:
         raise ModulusTooSmall(f"modulus must be >= 3, got {p}")
     _check_guard(p <= MAX_FIELD_P, f"p={p} exceeds the field-size guard {MAX_FIELD_P}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise CompositeModulus(f"{p} is not prime")
     factors = _prime_factors(p - 1)
     g = 2
@@ -289,26 +272,16 @@ class RepFn:
         return self.counts[d % self.field.p]
 
 
-def _require_same_field(*sets: FSet) -> PrimeField:
+def _require_operands(*sets: FSet) -> PrimeField:
+    """The common field of the operands: FieldMismatch over all of them first, then EmptyOperand."""
     field = sets[0].field
-    for s in sets[1:]:
+    for s in sets:
         if s.field.p != field.p:
             raise FieldMismatch(f"operands over p={field.p} and p={s.field.p}")
-    return field
-
-
-def _require_nonempty(*sets: FSet) -> None:
     for s in sets:
         if s.card == 0:
             raise EmptyOperand("operation requires nonempty operands")
-
-
-def _rotate(mask: int, k: int, p: int, full: int) -> int:
-    """Cyclic left rotation of a p-bit mask: bit i -> bit (i + k) mod p."""
-    k %= p
-    if k == 0:
-        return mask
-    return ((mask << k) | (mask >> (p - k))) & full
+    return field
 
 
 def _rotation_union(mask: int, ks: Sequence[int], p: int, full: int, sign: str) -> int:
@@ -387,7 +360,9 @@ def signed_combination(terms: Sequence[tuple[FSet, str]]) -> FSet:
     if not terms:
         raise EmptyOperand("signed_combination requires at least one term")
     first, first_sign = terms[0]
-    _require_nonempty(first)
+    _require_operands(first)
+    if first_sign not in (PLUS, MINUS):
+        raise ValueError(f"bad sign {first_sign!r}")
     acc = negate(first) if first_sign == MINUS else first
     for s, sign in terms[1:]:
         acc = sumset(acc, s, sign)
@@ -467,7 +442,11 @@ def _exp_mask(field: PrimeField, acc: int) -> int:
 
 
 def _scaled_mask(u: int, A: FSet) -> int:
-    """Membership mask of u*A with the convention 0*A = {0}."""
+    """Membership mask of u*A with the convention 0*A = {0}.
+
+    Its own OR loop beats _mask_from's list: canonical_form's p - 2 dilates of an 8-set at
+    p = 4099 took 7.2-7.7 ms by it, 10.0-10.6 ms by _mask_from (shared 2-core x86-64 host).
+    """
     p = A.field.p
     if u % p == 0:
         return 1
@@ -509,8 +488,7 @@ def ratio_set(A: FSet) -> FSet:
 
 def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:
     """counts[d] = #{(a, b) in A x B : a +/- b = d}."""
-    field = _require_same_field(A, B)
-    _require_nonempty(A, B)
+    field = _require_operands(A, B)
     if sign not in (PLUS, MINUS):
         raise ValueError(f"bad sign {sign!r}")
     ys = [-b for b in B] if sign == PLUS else list(B)

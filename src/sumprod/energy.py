@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    PLUS,
     FSet,
-    _require_nonempty,
-    _require_same_field,
-    _rotate,
+    _require_operands,
+    _rotation_union,
     _scaled_mask,
     pair_energy,
     product_set,
@@ -44,14 +44,13 @@ class EnergyReport:
 
 def intersection_count(x: int, y: int, Z: FSet, kind: str) -> int:
     """|(x+Z) cap (y+Z)| or |xZ cap yZ| (0*Z = {0} for the latter)."""
-    _require_nonempty(Z)
-    field = Z.field
+    field = _require_operands(Z)
     p = field.p
     x %= p
     y %= p
     if kind == ADDITIVE:
-        full = field.full_mask
-        return (_rotate(Z.mask, x, p, full) & _rotate(Z.mask, y, p, full)).bit_count()
+        xz, yz = (_rotation_union(Z.mask, (k,), p, field.full_mask, PLUS) for k in (x, y))
+        return (xz & yz).bit_count()
     if kind == MULTIPLICATIVE:
         return (_scaled_mask(x, Z) & _scaled_mask(y, Z)).bit_count()
     raise ValueError(f"bad kind {kind!r}")
@@ -60,7 +59,7 @@ def intersection_count(x: int, y: int, Z: FSet, kind: str) -> int:
 def _additive_naive(Y: FSet, Z: FSet) -> tuple[int, int]:
     field = Y.field
     p, full = field.p, field.full_mask
-    shifted = [_rotate(Z.mask, y, p, full) for y in Y]
+    shifted = [_rotation_union(Z.mask, (y,), p, full, PLUS) for y in Y]
     return sum((m1 & m2).bit_count() for m1 in shifted for m2 in shifted), sumset(Y, Z).card
 
 
@@ -92,8 +91,7 @@ def _mult_convolution(Y: FSet, Z: FSet) -> tuple[int, int]:
 
 def _energy(kind: str, Y: FSet, Z: FSet, method: str, naive, convolution) -> EnergyReport:
     """The report of one energy from the (value, |Y op Z|) of `naive` or `convolution`."""
-    _require_same_field(Y, Z)
-    _require_nonempty(Y, Z)
+    _require_operands(Y, Z)
     if method == "naive":
         value, op_card = naive(Y, Z)
     elif method == "convolution":

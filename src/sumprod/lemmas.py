@@ -17,9 +17,8 @@ from .core import (
     MINUS,
     PLUS,
     FSet,
-    _require_nonempty,
-    _require_same_field,
-    _rotate,
+    _require_operands,
+    _rotation_union,
     _scaled_mask,
     negate,
     pair_counts,
@@ -80,8 +79,7 @@ def greedy_cover(B1: FSet, B2: FSet, mode: str = PLUS) -> CoverResult:
     suffice; the budget is checked at every step and the coverage at the end.
     r is pair_counts(B1, +/-B2) less the counts of every element covered.
     """
-    field = _require_same_field(B1, B2)
-    _require_nonempty(B1, B2)
+    field = _require_operands(B1, B2)
     if mode not in (PLUS, MINUS):
         raise ValueError(f"bad mode {mode!r}")
     p, full = field.p, field.full_mask
@@ -99,7 +97,7 @@ def greedy_cover(B1: FSet, B2: FSet, mode: str = PLUS) -> CoverResult:
         best_c = gains.index(max(gains))
         translates.append(best_c)
         check(len(translates) <= budget, "covering budget exceeded")
-        hit = _rotate(base.mask, best_c, p, full) & uncovered
+        hit = _rotation_union(base.mask, (best_c,), p, full, PLUS) & uncovered
         covered_mask |= hit
         uncovered &= ~hit
         lost = pair_counts(list(field.fset_from_mask(hit)), ys, p)
@@ -129,8 +127,7 @@ def katz_shen_subset(
     the result is (B0, 1).  Guarded to |B0| <= 14 and k <= 3 (exhaustive
     over all 2^|B0| subsets).
     """
-    _require_nonempty(B0)
-    field = _require_same_field(B0, *Bs) if Bs else B0.field
+    field = _require_operands(B0, *Bs)
     eps = Fraction(eps)
     n, d = eps.numerator, eps.denominator  # d > 0
     if not 0 < n < d:
@@ -185,7 +182,7 @@ def _first_quadruple(A: FSet, ts: FSet) -> tuple[int, int, int, int]:
                 continue
             D = _scaled_mask(b - a, ts)
             for c in els:
-                hit = _rotate(D, c, p, full) & A.mask
+                hit = _rotation_union(D, (c,), p, full, PLUS) & A.mask
                 if hit:
                     return a, b, c, (hit & -hit).bit_length() - 1
     raise ValueError("no quadruple of A has its ratio in ts")
@@ -227,7 +224,7 @@ def xi_search(A1: FSet) -> tuple[int, int]:
     The returned minimum always satisfies the exact averaging bound
     energy * (p-1) <= |A1|^2 (p-1) + |A1|^4.
     """
-    _require_nonempty(A1)
+    _require_operands(A1)
     p, dlog = A1.field.p, A1.field.dlog_table
     r = rep_fn(A1, A1, MINUS).counts
     logs = [dlog[e] for e in range(1, p) if r[e]]
@@ -280,8 +277,7 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     entry in the row or column of 0 is 1 at (0, 0) and [0 in Z] elsewhere.
     The pivot maximizes the row sum, so s_sum * |Y| >= Ex(Y,Z) exactly.
     """
-    field = _require_same_field(Y, Z)
-    _require_nonempty(Y, Z)
+    field = _require_operands(Y, Z)
     q, dlog = field.p - 1, field.dlog_table
     lz = [dlog[z] for z in Z if z]
     r = pair_counts(lz, lz, q)
@@ -411,8 +407,7 @@ class PlunneckeAudit:
 
 def plunnecke_audit(A: FSet, B: FSet, k: int = 4) -> PlunneckeAudit:
     """Check |A+A||B| <= |A+B|^2 and |kB||A|^(k-1) <= |A+B|^k exactly."""
-    _require_same_field(A, B)
-    _require_nonempty(A, B)
+    _require_operands(A, B)
     if not 2 <= k <= 6:
         raise BadParameters(f"k must be in [2, 6], got {k}")
     ab = sumset(A, B).card

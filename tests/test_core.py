@@ -37,7 +37,9 @@ from sumprod.errors import (
     TooSmall,
     ZeroDilation,
 )
-from sumprod.lemmas import xi_search
+from sumprod.chains import chain_balanced, chain_unbalanced, prop51_audit
+from sumprod.energy import additive_energy, multiplicative_energy
+from sumprod.lemmas import chang_decompose, greedy_cover, katz_shen_subset, plunnecke_audit, xi_search
 from sumprod.search import canonical_form
 
 F5 = make_field(5)
@@ -52,6 +54,23 @@ class TestMakeField:
     def test_composite_rejected(self):
         with pytest.raises(CompositeModulus):
             make_field(4)
+
+    def test_primality_matches_sieve(self):
+        build = make_field.__wrapped__  # past the cache, which holds 64 fields
+        sieve = bytearray([1]) * 3001
+        for i in range(2, 55):
+            sieve[i * i :: i] = bytes(len(range(i * i, 3001, i)))
+        for n in range(3, 3001):
+            if sieve[n]:
+                assert build(n).p == n
+            else:
+                with pytest.raises(CompositeModulus):
+                    build(n)
+        # squares of primes below MAX_FIELD_P and Carmichael numbers
+        for n in (1009**2, 1021**2, 561, 1105, 1729, 41041):
+            assert n <= core.MAX_FIELD_P
+            with pytest.raises(CompositeModulus):
+                build(n)
 
     def test_too_small(self):
         with pytest.raises(ModulusTooSmall):
@@ -240,6 +259,14 @@ class TestSignedCombination:
         with pytest.raises(ValueError):
             pattern_combination(F7.fset([1]), "+*")
 
+    def test_bad_sign_on_any_term(self):
+        Z = F7.fset([1, 2])
+        for terms in ([(Z, "bogus")], [(Z, "bogus"), (Z, PLUS)], [(Z, PLUS), (Z, "bogus")]):
+            with pytest.raises(ValueError, match="bad sign 'bogus'"):
+                signed_combination(terms)
+        with pytest.raises(EmptyOperand):  # the operand test comes first
+            signed_combination([(F7.fset([]), "bogus")])
+
 
 class TestProductSet:
     def test_examples(self):
@@ -344,6 +371,16 @@ class TestKernelOutput:
                 assert str(exc.value) == "operation requires nonempty operands"
         with pytest.raises(FieldMismatch):  # the field test comes first
             sumset(E7, F5.fset([]))
+
+    @pytest.mark.parametrize("op", [
+        rep_fn, greedy_cover, chang_decompose, plunnecke_audit, prop51_audit, chain_unbalanced,
+        chain_balanced, additive_energy, multiplicative_energy, lambda A, B: katz_shen_subset(A, [B], 0.5),
+    ])
+    def test_field_mismatch_comes_before_an_empty_operand(self, op):
+        A7, E7, A5, E5 = F7.fset([1, 2]), F7.fset([]), F5.fset([1, 2]), F5.fset([])
+        for A, B in ((E7, A5), (A7, E5), (E7, E5)):
+            with pytest.raises(FieldMismatch, match="operands over p=7 and p=5"):
+                op(A, B)
 
 
 class TestDilate:
@@ -576,15 +613,18 @@ class TestFftPairHist:
     def test_norm_check_wakes_no_blas_threads(self):
         # a float64 dot in the norm check woke OpenBLAS's threads, which spun for
         # about as long again as the calls took in their own thread; on one CPU
-        # there is no other thread to spin and this passes trivially
+        # there is no other thread to spin and this passes trivially. Two warm-up
+        # calls and 20 timed ones (about 0.3 s of own CPU), so that one short burst
+        # of another thread stays inside the 30% margin while a wake-up per call does not
         code = (
             "import random, time\n"
             "from sumprod.core import pair_counts\n"
             "rng = random.Random(1)\n"
             "xs, ys = ([rng.randrange(65521) for _ in range(4096)] for _ in 'xy')\n"
-            "pair_counts(xs, ys, 65521)\n"
+            "for _ in range(2):\n"
+            "    pair_counts(xs, ys, 65521)\n"
             "cpu, own = time.process_time(), time.thread_time()\n"
-            "for _ in range(5):\n"
+            "for _ in range(20):\n"
             "    pair_counts(xs, ys, 65521)\n"
             "print(time.process_time() - cpu, time.thread_time() - own)\n"
         )

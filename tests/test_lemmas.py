@@ -12,6 +12,7 @@ from sumprod.errors import (
     BadEpsilon,
     BadParameters,
     EmptyDecomposition,
+    EmptyOperand,
     GuardExceeded,
     RatioSetFull,
     TooSmall,
@@ -105,6 +106,14 @@ class TestKatzShen:
             katz_shen_subset(wide, [wide], Fraction(1, 4))
         with pytest.raises(GuardExceeded):
             katz_shen_subset(big, [big] * 4, Fraction(1, 4))
+
+    def test_empty_term_raises_before_eps_and_guard(self):
+        B0, E = F7.fset([0, 1]), F7.fset([])
+        big, wide = F7.full_set(), make_field(17).fset(range(16))
+        for base, terms, eps in ((B0, [B0, E], Fraction(1)), (wide, [make_field(17).fset([])], Fraction(1, 4)),
+                                 (big, [big] * 3 + [E], Fraction(1, 4))):
+            with pytest.raises(EmptyOperand):
+                katz_shen_subset(base, terms, eps)
 
 
 def _katz_shen_oracle(B0, Bs, eps):

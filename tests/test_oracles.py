@@ -26,7 +26,6 @@ from sumprod.core import (
     _DENSE_BITS,
     MINUS,
     PLUS,
-    _rotate,
     dilate,
     make_field,
     negate,
@@ -65,11 +64,12 @@ def greedy_cover_scan(B1, B2, mode):
     while 100 * uncovered.bit_count() > B1.card:
         best_c, best_gain = -1, 0
         for c in range(p):
-            gain = (_rotate(base, c, p, full) & uncovered).bit_count()
+            # c + B2 (or c - B2) as an explicit rotation, independent of the kernel
+            gain = (((base << c) | (base >> (p - c))) & full & uncovered).bit_count()
             if gain > best_gain:
                 best_c, best_gain = c, gain
         translates.append(best_c)
-        uncovered &= ~_rotate(base, best_c, p, full)
+        uncovered &= ~(((base << best_c) | (base >> (p - best_c))) & full)
     return tuple(translates), B1.mask & ~uncovered
 
 
@@ -310,6 +310,17 @@ class _Slices(list):
 # end of the first, or ends one residue short of the group after every block
 UNION_CASES = [(core._UNION_BLOCK * 3 // 2, 0, 2), (core._UNION_BLOCK, 0, 1),
                (core._UNION_BLOCK * 3 // 2, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [5, 13, 4099])
+def test_rotation_union_of_one_k_is_the_explicit_rotation(p):
+    full = (1 << p) - 1
+    for mask in (1, 0b1011, random.Random(p).getrandbits(p), full):
+        for k in range(p + 1):
+            left = ((mask << k) | (mask >> (p - k))) & full  # bit i -> bit (i + k) mod p
+            right = ((mask >> k) | (mask << (p - k))) & full  # bit i -> bit (i - k) mod p
+            assert core._rotation_union(mask, (k,), p, full, PLUS) == left
+            assert core._rotation_union(mask, (k,), p, full, MINUS) == right
 
 
 @pytest.mark.parametrize("p", [4099, 65521])
