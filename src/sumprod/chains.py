@@ -126,12 +126,13 @@ def extract_half_subset(A: FSet, sign: str) -> tuple[FSet, str]:
 
     Two exhaustive subset extractions (each keeping a sqrt(2)/2 fraction)
     when |A| is small enough; otherwise a greedy element-removal descent
-    minimizing |X + A + A| (labeled heuristic).
+    minimizing |X + A + A| (labeled heuristic).  The second extraction runs
+    only when the first drops an element: on A itself it would return A.
     """
     sA = _signed(A, sign)
     if A.card <= KATZ_SHEN_MAX_BASE:
         X1, _ = katz_shen_subset(A, [sA, sA, sA], _EXTRACTION_EPS)
-        Z, _ = katz_shen_subset(X1, [sA, sA, sA], _EXTRACTION_EPS)
+        Z = X1 if X1.mask == A.mask else katz_shen_subset(X1, [sA, sA, sA], _EXTRACTION_EPS)[0]
         return Z, "exhaustive"
     T2 = sumset(sA, sA)
     X = A
@@ -146,14 +147,20 @@ def extract_half_subset(A: FSet, sign: str) -> tuple[FSet, str]:
     return X, "heuristic"
 
 
-def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, BucketDecomposition]:
-    """Shared Z-extraction and decomposition used by the small/large chains."""
+def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, FSet, BucketDecomposition]:
+    """The small/large chains' shared Z-extraction: returns AsA, AA and Z*'s decomposition.
+
+    Each set is built once: ZsZ and ZsZsZsZ stand for AsA and ZsAsAsA when
+    Z = A, and for Z*sZ* and Z*sZ*sZ*sZ* when Z* = Z; Z*Z* is AA when Z* = A.
+    """
     Z, label = extract_half_subset(A, sign)
     steps.append(exact_step(f"subset extraction ({label}): |A| <= 2|Z|", A.card, 2 * Z.card))
-    z4 = signed_combination([(Z, PLUS), (Z, sign), (Z, sign), (Z, sign)])
-    za3 = signed_combination([(Z, PLUS), (A, sign), (A, sign), (A, sign)])
+    zsz = sumset(Z, Z, sign)
+    z4 = sumset(sumset(zsz, Z, sign), Z, sign)
+    whole = Z.mask == A.mask
+    za3 = z4 if whole else signed_combination([(Z, PLUS), (A, sign), (A, sign), (A, sign)])
     steps.append(exact_step("containment: |ZsZsZsZ| <= |ZsAsAsA|", z4.card, za3.card))
-    asa = sumset(A, A, sign)
+    asa = zsz if whole else sumset(A, A, sign)
     steps.append(
         diag_step("growth comparison: |ZsAsAsA| vs |AsA|^3/|A|^2", za3.card * A.card**2, asa.card**3)
     )
@@ -163,12 +170,14 @@ def _front_end(A: FSet, sign: str, steps: list[ChainStep]) -> tuple[FSet, Bucket
     steps.append(exact_step("pivot pigeonhole: Ex(Z*,Z*) <= s_sum*|Z*|", d.energy, d.s_sum * Zs.card))
     zz = product_set(Zs, Zs)
     steps.append(exact_step("energy floor: |Z*|^4 <= Ex(Z*,Z*)*|Z*Z*|", Zs.card**4, d.energy * zz.card))
-    zsz = sumset(Zs, Zs, sign)
-    z4s = signed_combination([(Zs, PLUS), (Zs, sign), (Zs, sign), (Zs, sign)])
+    if Zs.mask != Z.mask:
+        zsz = sumset(Zs, Zs, sign)
+        z4 = sumset(sumset(zsz, Zs, sign), Zs, sign)
     steps.append(
-        diag_step("bucket bound: max 16^j|Z_j|^3 vs |ZsZ|^5 |ZsZsZsZ|", d.lhs, zsz.card**5 * z4s.card)
+        diag_step("bucket bound: max 16^j|Z_j|^3 vs |ZsZ|^5 |ZsZsZsZ|", d.lhs, zsz.card**5 * z4.card)
     )
-    return asa, d
+    aa = zz if Zs.mask == A.mask else product_set(A, A)
+    return asa, aa, d
 
 
 def _inputs(A: FSet, B: FSet | None = None) -> dict:
@@ -231,8 +240,7 @@ def chain_small(A: FSet, sign: str = PLUS) -> ChainReport:
     if A.card**2 > p:
         warnings.append("|A|^2 > p: small-set hypothesis not met")
     steps: list[ChainStep] = []
-    asa, d = _front_end(A, sign, steps)
-    aa = product_set(A, A)
+    asa, aa, d = _front_end(A, sign, steps)
     steps.append(
         diag_step("bucket target: max 16^j|Z_j|^3 vs |A|^11/|AA|^4", d.lhs * aa.card**4, A.card**11)
     )
@@ -258,9 +266,8 @@ def chain_large(A: FSet, sign: str = PLUS) -> ChainReport:
     if A.card**2 < p:
         warnings.append("|A|^2 < p: large-set hypothesis not met")
     steps: list[ChainStep] = []
-    asa, d = _front_end(A, sign, steps)
+    asa, aa, d = _front_end(A, sign, steps)
     case = _case(d, "Z", steps)
-    aa = product_set(A, A)
     spade_lhs = (asa.card**8 * aa.card**4) ** 2 * p
     spade_rhs = A.card**28
     steps.append(diag_step("(spade, squared): (|AsA|^8|AA|^4)^2 p vs |A|^28", spade_lhs, spade_rhs))
@@ -324,10 +331,12 @@ def _bucket_construction(
     counts = []
     covered_masks = []
     quad_signed = [(-a) % p, b, (-c) % p, d]
+    covers = {}  # (x, u) repeats when a = c or b = d
     for x, u in zip((a, b, c, d), quad_signed):
-        S = A.field.fset_from_mask(_scaled_mask(x, B) & a0B)
-        target = scale(Aj, u)
-        cover = greedy_cover(target, S, MINUS)
+        cover = covers.get((x, u))
+        if cover is None:
+            S = A.field.fset_from_mask(_scaled_mask(x, B) & a0B)
+            cover = covers[x, u] = greedy_cover(scale(Aj, u), S, MINUS)
         counts.append(len(cover.translates))
         covered_masks.append(cover.covered.mask)
         steps.append(
@@ -356,7 +365,7 @@ def _bucket_construction(
     )
     Ad1, Ad2 = scale(Ap, b - a), scale(Ap, d - c)
     two_term = sumset(Ad1, Ad2)
-    three_term = signed_combination([(Ad1, PLUS), (Ad1, PLUS), (Ad2, PLUS)])
+    three_term = sumset(two_term, Ad1)  # (b-a)A' + (b-a)A' + (d-c)A'
     if ratio_full:
         steps.append(
             diag_step(
@@ -501,11 +510,11 @@ def energy_bound_audit(A: FSet) -> ChainReport:
     _require_operands(A)
     e4 = multiplicative_energy(A, A).value ** 4
     n = A.card
-    a_plus = sumset(A, A, PLUS).card
-    a_minus = sumset(A, A, MINUS).card
-    mixed = pattern_combination(A, "++--").card
-    plus4 = pattern_combination(A, "++++").card
-    minus4 = pattern_combination(A, "+---").card
+    two_plus, two_minus = sumset(A, A, PLUS), sumset(A, A, MINUS)
+    a_plus, a_minus = two_plus.card, two_minus.card
+    mixed = sumset(sumset(two_plus, A, MINUS), A, MINUS).card
+    plus4 = sumset(sumset(two_plus, A), A).card
+    minus4 = sumset(sumset(two_minus, A, MINUS), A, MINUS).card
     lg = bucket_index(n)
     steps = [
         diag_step("log form: Ex^4 vs |A|^5|A-A|^5|A+A-A-A| Lg^4", e4, n**5 * a_minus**5 * mixed * lg**4),

@@ -139,10 +139,14 @@ def katz_shen_subset(
     # ceil((1 - eps)|B0|) in integers
     min_card = max(1, -((n - d) * B0.card // d))
     tail = signed_combination([(Bi, PLUS) for Bi in Bs])
-    # prod_i |Bi+B0| / |B0|^k as an integer numerator and denominator
+    # prod_i |Bi+B0| / |B0|^k as an integer numerator and denominator; the
+    # chains pass one term k times, so each distinct Bi is summed once
+    grown_by: dict[int, int] = {}
     num = 1
     for Bi in Bs:
-        num *= sumset(Bi, B0).card
+        if Bi.mask not in grown_by:
+            grown_by[Bi.mask] = sumset(Bi, B0).card
+        num *= grown_by[Bi.mask]
     den = B0.card ** len(Bs)
     # the product is common to every X: cross-multiply |X+tail|/|X|; X = B0 comes first
     best_grown, best_card, best_mask = 0, 0, 0

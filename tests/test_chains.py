@@ -7,8 +7,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumprod import chains
+from sumprod import chains, core
 from sumprod.chains import (
     DIAGNOSTIC,
     EXACT,
@@ -21,8 +22,9 @@ from sumprod.chains import (
     extract_half_subset,
     prop51_audit,
 )
-from sumprod.core import MINUS, PLUS, dilate, make_field, ratio_set
+from sumprod.core import MINUS, PLUS, dilate, make_field, negate, ratio_set
 from sumprod.errors import EmptyOperand
+from sumprod.lemmas import katz_shen_subset
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -84,7 +86,7 @@ class TestChainLarge:
 
         for A in (F11.fset(range(1, 11)), F13.fset([1, 2, 3, 5, 8, 9, 11])):
             steps = []
-            _, d = _front_end(A, PLUS, steps)
+            _, _, d = _front_end(A, PLUS, steps)
             j0, _ = select_j0(d)
             zj0 = d.buckets[j0]
             r = chain_large(A)
@@ -215,6 +217,20 @@ class TestEnergyBoundAudit:
         assert all(s.ratio > 0 for s in r.steps)
 
 
+def _two_extractions(A, sign):
+    """Both Katz-Shen extractions, the second always run."""
+    sA = A if sign == PLUS else negate(A)
+    X1, _ = katz_shen_subset(A, [sA] * 3, chains._EXTRACTION_EPS)
+    return katz_shen_subset(X1, [sA] * 3, chains._EXTRACTION_EPS)[0]
+
+
+@st.composite
+def _extraction_instance(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 53, 67, 79, 101]))
+    A = make_field(p).fset(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 10))))
+    return A, draw(st.sampled_from([PLUS, MINUS]))
+
+
 class TestExtraction:
     def test_small_is_exhaustive(self):
         Z, label = extract_half_subset(F7.fset([1, 2, 3]), PLUS)
@@ -229,6 +245,22 @@ class TestExtraction:
         assert label == "heuristic"
         assert 2 * Z.card >= A.card
         assert Z.mask & ~A.mask == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(_extraction_instance())
+    def test_matches_two_explicit_extractions(self, inst):
+        A, sign = inst
+        assert extract_half_subset(A, sign) == (_two_extractions(A, sign), "exhaustive")
+
+    def test_second_extraction_runs_when_the_first_drops(self, monkeypatch):
+        A = make_field(41).fset([3, 11, 25, 38, 39])
+        bases = []
+        extract = chains.katz_shen_subset
+        counted = lambda B0, Bs, eps: bases.append(B0) or extract(B0, Bs, eps)  # noqa: E731
+        monkeypatch.setattr(chains, "katz_shen_subset", counted)
+        Z, _ = extract_half_subset(A, MINUS)
+        assert bases == [A, A.field.fset([11, 25, 38, 39])]
+        assert Z == _two_extractions(A, MINUS)
 
 
 def test_dilation_invariance_of_reports():
@@ -247,6 +279,40 @@ def test_reports_share_pigeonhole_step_names():
         n1, n2 = ([s.name for s in make(X).steps if "pigeonhole" in s.name] for X in (A, B))
         assert n1 and n1 == n2
         assert all(a is b for a, b in zip(n1, n2))
+
+
+class TestOneBuildPerReport:
+    """A report builds each set once: a repeated extraction, sum or cover fails here."""
+
+    def test_one_extraction_when_the_first_keeps_a(self, monkeypatch):
+        calls = []
+        extract = chains.katz_shen_subset
+        monkeypatch.setattr(chains, "katz_shen_subset", lambda *args: calls.append(args) or extract(*args))
+        chain_small(F7.fset([1, 2, 3]), PLUS)
+        assert len(calls) == 1
+
+    def test_energy_audit_sums(self, monkeypatch):
+        calls = []
+        add = core.sumset
+        counted = lambda *args: calls.append(args) or add(*args)  # noqa: E731
+        monkeypatch.setattr(chains, "sumset", counted)
+        monkeypatch.setattr(core, "sumset", counted)  # signed_combination's own calls
+        energy_bound_audit(F13.fset([1, 2, 3, 5]))
+        # A+A and A-A, then two more terms on each of A+A-A-A, 4A and A-A-A-A
+        assert len(calls) == 8
+
+    def test_one_cover_per_distinct_pair(self, monkeypatch):
+        A = F7.fset([1, 2, 3, 5])  # its one bucket's quadruple has a = c = 1
+        chains._p51.cache_clear()
+        chains._pair_decomposition.cache_clear()
+        calls = []
+        cover = chains.greedy_cover
+        monkeypatch.setattr(chains, "greedy_cover", lambda *args: calls.append(args) or cover(*args))
+        r = prop51_audit(A, A)
+        budgets = [s.name for s in r.steps if "cover budget" in s.name]
+        assert [name.split("(x=")[1][0] for name in budgets] == ["1", "3", "1", "5"]
+        assert len(calls) == 3
+        assert len({(B1.mask, B2.mask) for B1, B2, _ in calls}) == 3
 
 
 MEMO_PAIRS = [

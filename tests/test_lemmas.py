@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumprod import lemmas
 from sumprod.core import MINUS, PLUS, make_field, sumset
 from sumprod.energy import multiplicative_energy
 from sumprod.errors import (
@@ -94,6 +95,16 @@ class TestKatzShen:
         assert X.card >= 1
         assert c_min <= 1
 
+    def test_a_repeated_term_is_summed_once(self, monkeypatch):
+        calls = []
+        add = lemmas.sumset
+        monkeypatch.setattr(lemmas, "sumset", lambda *args: calls.append(args) or add(*args))
+        B0, B = F13.fset([1, 2, 3]), F13.fset([0, 4])
+        katz_shen_subset(B0, [B] * 3, Fraction(1, 2))
+        # one denominator sum for the three equal terms, one per submask of at least 1.5 elements
+        # (the tail B+B+B goes through signed_combination, outside this binding)
+        assert len(calls) == 1 + 4
+
     def test_bad_eps(self):
         with pytest.raises(BadEpsilon):
             katz_shen_subset(F7.fset([0, 1]), [F7.fset([0, 1])], Fraction(1))
@@ -145,7 +156,11 @@ def _katz_shen_instance(draw):
     elems = st.integers(0, p - 1)
     B0 = field.fset(draw(st.sets(elems, min_size=1, max_size=min(p, 8))))
     k = draw(st.integers(1, 3))
-    Bs = [field.fset(draw(st.sets(elems, min_size=1, max_size=p))) for _ in range(k)]
+    terms = st.sets(elems, min_size=1, max_size=p)
+    if draw(st.booleans()):  # the chains' form: one term k times
+        Bs = [field.fset(draw(terms))] * k
+    else:
+        Bs = [field.fset(draw(terms)) for _ in range(k)]
     eps = draw(st.one_of(
         st.just(1 - math.sqrt(2) / 2),  # the chains' extraction eps
         st.fractions(Fraction(1, 60), Fraction(59, 60), max_denominator=60)))
