@@ -2,8 +2,9 @@
 
 Sets are fixed-width membership bitmasks indexed by residue, so sumsets are
 shift-OR rotations of Python big ints and cardinalities are popcounts.
-Product sets reduce to cyclic sumsets in the discrete-log domain; 0 is
-handled by an explicit side rule because the log map excludes it.
+Product sets reduce to cyclic sumsets in the discrete-log domain and ratio
+sets to cyclic difference sets; 0 is handled by an explicit side rule
+because the log map excludes it.
 
 Both go through one rotation-union kernel: the doubled mask
 d = m | m << p holds every cyclic rotation of the p-bit mask m in one
@@ -167,14 +168,6 @@ class PrimeField:
     @cached_property
     def _full_set(self) -> "FSet":
         return FSet(self, self.full_mask, self.p)
-
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of nonzero x."""
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        q = self.p - 1
-        return self.exp_table[(q - self.dlog_table[x]) % q]
 
     def fset(self, elements: Iterable[int]) -> "FSet":
         p = self.p
@@ -380,36 +373,42 @@ def pattern_combination(A: FSet, pattern: str) -> FSet:
 
 
 def product_set(A: FSet, B: FSet, method: str = "log") -> FSet:
-    """AB = {ab mod p}.
-
-    The log method strips 0, maps nonzero elements through dlog, takes a
-    cyclic sumset modulo p-1 and maps back (a dense result through numpy
-    when _numpy_pays, see _exp_mask); 0 enters the product set iff 0 is in
-    one operand (the other being nonempty per precondition).  When
-    |A*| + |B*| > p - 1 (pigeonhole in the cyclic group F_p*, as in sumset)
-    or the union fills it, A*B* is F_p*: no rotation or decode runs.
-    """
+    """AB = {ab mod p}: _log_product with sign PLUS, or the naive double loop kept as the oracle."""
     field = A.field
     if B.field is not field and B.field.p != field.p:
         raise FieldMismatch(f"operands over p={field.p} and p={B.field.p}")
     if not (A.card and B.card):
         raise EmptyOperand("operation requires nonempty operands")
-    p = field.p
     if method == "naive":
+        p = field.p
         return field.fset({(a * b) % p for a in A for b in B})
     if method != "log":
         raise ValueError(f"bad method {method!r}")
-    q = p - 1
+    return _log_product(A, B, PLUS)
+
+
+def _log_product(A: FSet, B: FSet, sign: str) -> FSet:
+    """AB (sign PLUS) or A/B* (sign MINUS) of nonempty operands over one field, B* nonempty for MINUS.
+
+    The logs of A* and B* take a cyclic sumset or difference set modulo p-1
+    that maps back through exp (a dense one through numpy when _numpy_pays,
+    see _exp_mask).  0 is in AB iff it is in A or B, and in A/B* iff it is
+    in A.  When |A*| + |B*| > p - 1 (pigeonhole in the cyclic group F_p*, as
+    in sumset) or the union fills it, no rotation or decode runs.
+    """
+    field = A.field
+    p, q = field.p, field.p - 1
     units = (1 << q) - 1
-    zero = (A.mask | B.mask) & 1  # 0 is in AB iff it is in A or in B
+    zero = (A.mask | B.mask) & 1 if sign == PLUS else A.mask & 1
     na, nb = A.card - (A.mask & 1), B.card - (B.mask & 1)  # |A*|, |B*|
     acc = 0
     if na + nb > q:
         acc = units
     elif na and nb:
         dlog = field.dlog_table
-        la = _mask_from([dlog[a] for a in A.elements() if a], q)
-        acc = _rotation_union(la, [dlog[b] for b in B.elements() if b], q, units, PLUS)
+        lb = [dlog[b] for b in B.elements() if b]
+        la = lb if A is B else [dlog[a] for a in A.elements() if a]
+        acc = _rotation_union(_mask_from(la, q), lb, q, units, sign)
     if acc == units:
         return field.full_set() if zero else FSet(field, field.full_mask ^ 1, q)
     if acc.bit_count() >= _DENSE_BITS and _numpy_pays(na * nb):
@@ -477,13 +476,13 @@ def scale(A: FSet, u: int) -> FSet:
 def ratio_set(A: FSet) -> FSet:
     """{(a-b)/(c-d) : a,b,c,d in A, c != d}.
 
-    Zero numerators are allowed, zero denominators excluded.  Equals
-    {n/d : n in A-A, d in (A-A)\\{0}}.
+    Zero numerators are allowed, zero denominators excluded: with L the logs
+    of (A-A)*, it is exp(L - L) plus 0, A-A over (A-A)* by _log_product.
     """
     if A.card < 2:
         raise TooSmall("ratio_set needs |A| >= 2")
     diff = sumset(A, A, MINUS)
-    return product_set(diff, A.field.fset(A.field.inv(d) for d in diff if d))
+    return _log_product(diff, diff, MINUS)
 
 
 def rep_fn(A: FSet, B: FSet, sign: str = PLUS) -> RepFn:

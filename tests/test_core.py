@@ -159,12 +159,6 @@ class TestMakeField:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(["dlog_table", "exp_table"] if built else [])
 
-    def test_inverse(self):
-        for x in range(1, 7):
-            assert F7.inv(x) * x % 7 == 1
-        with pytest.raises(ZeroDivisionError):
-            F7.inv(0)
-
 
 class TestFSet:
     def test_roundtrip_and_membership(self):
@@ -292,10 +286,32 @@ class TestRatioSet:
         with pytest.raises(TooSmall):
             ratio_set(F7.fset([3]))
 
+    def test_full_ratio_set_is_the_field_full_set(self):
+        # only the pigeonhole and saturation exits return full_set() itself; a decode builds a new FSet
+        F3, F13, F4099 = make_field(3), make_field(13), make_field(4099)
+        assert ratio_set(F3.fset([0, 1])) is F3.full_set()
+        assert ratio_set(F7.fset([1, 2, 4])) is F7.full_set()
+        A = F13.fset([0, 1, 2, 3, 4])  # (A-A)* = {+-1, ..., +-4}: 2 * 8 > 12
+        assert sumset(A, A, MINUS).card < 13
+        assert ratio_set(A) is F13.full_set()
+        A = F4099.fset(random.Random(20).sample(range(4099), 20))
+        diff = sumset(A, A, MINUS)
+        assert 2 * (diff.card - 1) <= 4098  # no pigeonhole: the rotation union fills Z_4098
+        assert ratio_set(A) is F4099.full_set()
+
+    @pytest.mark.parametrize("p, elements", [
+        (13, [0, 1, 2]), (13, [1, 2, 3]), (101, [0, 1, 5, 17]), (101, [3, 7, 50]), (65521, [2, 9, 40, 1000]),
+    ])
+    def test_proper_matches_naive(self, p, elements):
+        A = make_field(p).fset(elements)
+        R = ratio_set(A)
+        assert R.card < p and 0 in R
+        assert R == _naive_ratio_set(A)
+
 
 def _naive_ratio_set(A):
     p = A.field.p
-    return A.field.fset((a - b) * A.field.inv(c - d) % p
+    return A.field.fset((a - b) * pow(c - d, -1, p) % p
                         for a in A for b in A for c in A for d in A if c != d)
 
 

@@ -184,7 +184,8 @@ def test_greedy_cover_pairs(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_field_set(PRIMES_65521, 16, min_card=2))
+# small primes draw full ratio sets, which end at the pigeonhole or saturation exit
+@given(_field_set(st.one_of(PRIMES_65521, st.sampled_from(_primes_upto(31))), 16, min_card=2))
 def test_ratio_set_matches_loop(A):
     assert ratio_set(A).mask == ratio_set_loop(A)
 
