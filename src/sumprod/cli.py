@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--mode", choices=["exhaustive", "anneal"], default="exhaustive")
     px.add_argument("--iters", type=int, default=10_000)
     px.add_argument("--threads", type=int, default=None,
-                    help="worker processes for exhaustive mode (default: cpu count)")
+                    help="checked against the guard of 4 per CPU; the scan runs in one process "
+                         "(default: cpu count)")
     px.add_argument("--checkpoint", default=None)
 
     sub.add_parser("scan-ratio", parents=[common])

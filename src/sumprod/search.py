@@ -15,26 +15,16 @@ import random
 import tempfile
 from bisect import insort
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
-from .core import FSet, PrimeField, dilate, make_field, product_set, ratio_set, sumset
+from .core import FSet, PrimeField, _bits, dilate, make_field, product_set, ratio_set, sumset
 from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted, check
 
 CLASS_GUARD = 10**8
-# worker processes per CPU that exhaustive_extremal accepts.  The fork start
-# method launches every worker of a pool at its first submit, and more
-# processes buy no speed, so SPW_GUARD_OVERRIDE does not lift this guard.
+# workers per CPU that exhaustive_extremal accepts.  The scan runs in one
+# process whatever the count, so SPW_GUARD_OVERRIDE does not lift this guard.
 WORKERS_PER_CPU = 4
-# remaining classes from which exhaustive_extremal starts its process pool.
-# Median wall time of a fresh process's scan on a shared 2-core x86-64 host,
-# in this process against a pool of 2: the pool's imports and start cost
-# 35-45 ms, and the parent walks and pickles every block, so (43, 5) with
-# 22,924 classes took 169 against 292 ms, (47, 5) with 33,352 took 366
-# against 380 ms, and (37, 6) with 64,604 took 716 against 462 ms.
-POOL_MIN_CLASSES = 30_000
 CHECKPOINT_EVERY = 10**6
 # 3: the cursor counts the classes of _class_masks; 2 counted candidate sets
 # holding 1, and files without a version all n-subsets
@@ -124,7 +114,7 @@ def _class_count_guard(p: int, n: int) -> int:
     return classes
 
 
-def _class_masks(p: int, n: int) -> Iterator[int]:
+def _class_masks(p: int, n: int, cut: Callable[[int], bool] | None = None) -> Iterator[int | None]:
     """Masks of one n-subset of F_p per dilation class, each class once.
 
     Dilation by g^k rotates the discrete logs of A \\ {0} by k mod p - 1, so
@@ -135,6 +125,10 @@ def _class_masks(p: int, n: int) -> Iterator[int]:
     Fredricksen, Kessler and Maiorana with a fixed sum (Ruskey and Sawada,
     SIAM J. Comput. 1999), in lex order; sets with 0 come first.  The
     recursion runs as a loop, so n is not bounded by the interpreter's.
+
+    cut, a prefix test, is asked of each set built past {1} or {0, 1}, class
+    sets included, unless a shorter one was cut (branch and bound, Land and
+    Doig 1960); a class with a cut prefix, itself included, yields None.
     """
     exp, q = make_field(p).exp_table, p - 1
     for zero in (1, 0):
@@ -142,7 +136,8 @@ def _class_masks(p: int, n: int) -> Iterator[int]:
         if w > q:
             continue
         if w <= 1:
-            yield zero | w << 1  # {0}, {1} or {0, 1}: one class each
+            mask = zero | w << 1  # {0}, {1} or {0, 1}: one class each
+            yield None if cut and cut(mask) else mask
             continue
         # gaps[t] for t in 1..w-1 (the last gap is what they leave of q), per[t]
         # the period of the longest Lyndon prefix of gaps[1..t], rest[t] = q
@@ -150,6 +145,7 @@ def _class_masks(p: int, n: int) -> Iterator[int]:
         gaps, hi, per, rest, masks = ([0] * w for _ in range(5))
         rest[0], masks[0] = q, zero | 2
         t, hi[1] = 1, q // w  # gaps[1] is the least gap
+        cut_at = w  # the depth of the cut prefix of masks[t], w if none
         while t:
             j = gaps[t] + 1
             if j > hi[t]:
@@ -160,11 +156,13 @@ def _class_masks(p: int, n: int) -> Iterator[int]:
             r = rest[t] = rest[t - 1] - j
             mask = masks[t] = masks[t - 1] | 1 << exp[q - r]
             if t + 1 < w:
+                if cut and cut_at >= t:
+                    cut_at = t if cut(mask) else w
                 t += 1
                 gaps[t] = gaps[t - per[t - 1]] - 1
                 hi[t] = r - (w - t) * gaps[1]
             elif r > gaps[w - per[t]] or r == gaps[w - per[t]] and w % per[t] == 0:
-                yield mask
+                yield None if cut_at < t or cut and cut(mask) else mask
 
 
 def _stream_key(field: PrimeField, A: FSet) -> tuple[bool, list[int]] | None:
@@ -189,32 +187,6 @@ def _fresh_state(p: int, n: int) -> dict:
     }
 
 
-def _merge(state: dict, best: int | None, witnesses: list[int], classes: int) -> None:
-    """Fold a scanned block's (best, witness masks, classes) into state."""
-    state["classes_visited"] += classes
-    if best is None:
-        return
-    if state["best_value"] is None or best < state["best_value"]:
-        state["best_value"], state["witnesses"] = best, list(witnesses)
-    elif best == state["best_value"]:
-        state["witnesses"].extend(witnesses)
-
-
-def _scan_chunk(p: int, n: int, masks: Iterable[int]) -> dict:
-    """The state of a scan of one block of the class stream alone."""
-    field = make_field(p)
-    state = _fresh_state(p, n)
-    for mask in masks:
-        _merge(state, objective(field.fset_from_mask(mask)), [mask], 1)
-    return state
-
-
-def _pooled(pool, score: Callable, blocks: Iterator[list[int]], width: int) -> Iterator[dict]:
-    """pool.map(score, blocks), holding at most width blocks of masks at a time."""
-    while window := list(islice(blocks, width)):
-        yield from pool.map(score, window)
-
-
 def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
     with open(path) as fh:
         state = json.load(fh)
@@ -234,8 +206,8 @@ def _load_checkpoint(path: str, p: int, n: int, total: int) -> dict:
         raise BadParameters(f"checkpoint cursor {state['cursor']} is outside [0, {total}]")
     if state["classes_visited"] != state["cursor"]:
         raise BadParameters("checkpoint classes_visited differs from cursor, which counts classes")
-    if (state["best_value"] is None) != (not state["witnesses"]):
-        raise BadParameters("checkpoint best_value and witnesses must be both empty or both set")
+    if not (state["best_value"] is None) == (not state["witnesses"]) == (state["cursor"] == 0):
+        raise BadParameters("checkpoint best_value and witnesses must be set exactly when cursor > 0")
     if len(state["witnesses"]) > state["classes_visited"]:
         raise BadParameters("checkpoint has more witnesses than classes_visited")
     field = make_field(p)
@@ -269,89 +241,18 @@ def _write_checkpoint(path: str, state: dict) -> None:
         raise
 
 
-def exhaustive_extremal(
-    p: int,
-    n: int,
-    *,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = CHECKPOINT_EVERY,
-    max_steps: int | None = None,
-) -> SearchRecord:
-    """Exact minimum of max{|A+A|,|AA|} over |A| = n, one set per dilation class.
+def _pair_counts(p: int) -> tuple[list[int], list[int], Callable[[int, int], None]]:
+    """(members, nonzero, shift): counts by residue of the pair sums and products a <= b of members.
 
-    This process walks the classes of _class_masks in chunks of
-    min(checkpoint_every, ceil(remaining / workers)) and scores them, in
-    order, itself or on `workers` processes; fewer than POOL_MIN_CLASSES
-    remaining classes are scored here whatever `workers` is.  With a
-    checkpoint_path the state (cursor, best, witnesses, classes) is written
-    atomically after every chunk and the run resumes from an existing file;
-    a resumed run is bit-identical to an uninterrupted one at any worker
-    count.  max_steps stops early after that many classes (checkpoint then
-    holds the cursor); it exists to exercise resumption deterministically.
+    nonzero holds how many sums and products are nonzero, so max(nonzero) is
+    the objective of members.  shift(x, step) adds step to the counts of x + b
+    and x * b for each member b, x among them: append x before shift(x, 1),
+    remove it after shift(x, -1).
     """
-    if n < 1 or n > p:
-        raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
-    if workers < 1 or checkpoint_every < 1:
-        raise BadParameters("workers and checkpoint_every must be >= 1")
-    max_workers = WORKERS_PER_CPU * (os.cpu_count() or 1)
-    if workers > max_workers:
-        raise GuardExceeded(
-            f"{workers} workers exceed the guard of {max_workers} ({WORKERS_PER_CPU} per CPU)"
-        )
-    field = make_field(p)
-    total = _class_count_guard(p, n)
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(checkpoint_path, p, n, total)
-    elif checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
-        raise BadParameters(f"the directory of checkpoint {checkpoint_path!r} does not exist")
-    else:
-        state = _fresh_state(p, n)
-    start = state["cursor"]
-    stop = total if max_steps is None else min(total, start + max_steps)
-    if stop - start < POOL_MIN_CLASSES:
-        workers = 1
-    size = max(1, min(checkpoint_every, -(-(stop - start) // workers)))
-    los = range(start, stop, size)
-    his = [min(lo + size, stop) for lo in los]
-    stream = islice(_class_masks(p, n), start, None)
-    blocks = (islice(stream, hi - lo) for lo, hi in zip(los, his))
-    score = partial(_scan_chunk, p, n)
-    if workers > 1:  # the pool's imports are paid only by a run that starts one
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = _pooled(pool, score, map(list, blocks), workers) if pool else map(score, blocks)
-        for hi, part in zip(his, parts):
-            _merge(state, part["best_value"], part["witnesses"], part["classes_visited"])
-            state["cursor"] = hi
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, state)
-    if state["cursor"] == total:
-        check(state["classes_visited"] == total and next(stream, None) is None,
-              f"the class stream of ({p}, {n}) does not hold the {total} classes of Burnside's count")
-    if state["best_value"] is None:
-        raise BadParameters("max_steps exhausted before any class was visited")
-    witnesses = sorted((canonical_form(field.fset_from_mask(m)) for m in state["witnesses"]),
-                       key=lambda A: A.mask)
-    return SearchRecord(
-        p, n, state["best_value"], tuple(witnesses), "exhaustive", None, state["classes_visited"]
-    )
-
-
-def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
-                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(objective, sorted elements) of every set the anneal scores: start, then each proposal.
-
-    The counts of pair sums and products a <= b by residue, and how many of
-    each are nonzero, follow the current set: a move (drop d, add x)
-    updates O(n) of them, and a rejected move takes them back.
-    """
-    p = field.p
     members: list[int] = []
     sums, prods, nonzero = [0] * p, [0] * p, [0, 0]
 
     def shift(x: int, step: int) -> None:
-        """Add step to the counts of x + b and x * b for each member b, x among them."""
         edge = step < 0  # the count a residue leaves as it turns: 0 on adding, 1 on removing
         turned_sums = turned_prods = 0
         for b in members:
@@ -366,6 +267,103 @@ def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
         nonzero[0] += step * turned_sums
         nonzero[1] += step * turned_prods
 
+    return members, nonzero, shift
+
+
+def exhaustive_extremal(
+    p: int,
+    n: int,
+    *,
+    workers: int = 1,
+    checkpoint_path: str | None = None,
+    checkpoint_every: int = CHECKPOINT_EVERY,
+    max_steps: int | None = None,
+) -> SearchRecord:
+    """Exact minimum of max{|A+A|,|AA|} over |A| = n, one set per dilation class.
+
+    One walk of _class_masks, in this process whatever `workers` is.  Adding
+    an element never lowers the objective, so the walk cuts each prefix whose
+    objective, from _pair_counts, is strictly above the best so far (tested
+    while min(p, k(k+1)/2) > best for k elements): every tied witness
+    survives, and the classes under a cut prefix are counted, not scored.
+    With a checkpoint_path the state (cursor, best, witnesses, classes) is
+    written atomically after every checkpoint_every classes and the run
+    resumes from an existing file, its best the cut's bound, bit-identical
+    to an uninterrupted run.  max_steps stops after that many classes; it
+    exists to exercise resumption deterministically.
+    """
+    if n < 1 or n > p:
+        raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
+    if workers < 1 or checkpoint_every < 1:
+        raise BadParameters("workers and checkpoint_every must be >= 1")
+    if workers > (most := WORKERS_PER_CPU * (os.cpu_count() or 1)):
+        raise GuardExceeded(f"{workers} workers exceed the guard of {most} ({WORKERS_PER_CPU} per CPU)")
+    field = make_field(p)
+    total = _class_count_guard(p, n)
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        state = _load_checkpoint(checkpoint_path, p, n, total)
+    elif checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise BadParameters(f"the directory of checkpoint {checkpoint_path!r} does not exist")
+    else:
+        state = _fresh_state(p, n)
+    members, nonzero, shift = _pair_counts(p)
+    counted = 0  # the mask of members
+
+    def above_best(mask: int) -> bool:
+        nonlocal counted
+        best, k = state["best_value"], mask.bit_count()
+        if best is None or min(p, k * (k + 1) // 2) <= best:
+            return False
+        for x in _bits(counted & ~mask):
+            shift(x, -1)
+            members.remove(x)
+        for x in _bits(mask & ~counted):
+            members.append(x)
+            shift(x, 1)
+        counted = mask
+        return max(nonzero) > best
+
+    start = state["cursor"]
+    stop = total if max_steps is None else min(total, start + max_steps)
+    # by Cauchy-Davenport every set has |A+A| >= min(p, 2n - 1), so from
+    # 2n - 1 >= p on every objective is p and no prefix can be cut
+    cut = above_best if 2 * n - 1 < p else None
+    stream = islice(_class_masks(p, n, cut), start, None)
+    for lo in range(start, stop, checkpoint_every):
+        hi, visited = min(lo + checkpoint_every, stop), 0
+        for visited, mask in enumerate(islice(stream, hi - lo), 1):
+            if mask is None:
+                continue
+            value = max(nonzero) if mask == counted else objective(field.fset_from_mask(mask))
+            best = state["best_value"]
+            if best is None or value < best:
+                state["best_value"], state["witnesses"] = value, [mask]
+            elif value == best:
+                state["witnesses"].append(mask)
+        state["classes_visited"] += visited
+        state["cursor"] = hi
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, state)
+    if state["cursor"] == total:
+        check(state["classes_visited"] == total and not any(True for _ in stream),
+              f"the class stream of ({p}, {n}) does not hold the {total} classes of Burnside's count")
+    if state["best_value"] is None:
+        raise BadParameters("max_steps exhausted before any class was visited")
+    witnesses = sorted((canonical_form(field.fset_from_mask(m)) for m in state["witnesses"]),
+                       key=lambda A: A.mask)
+    return SearchRecord(p, n, state["best_value"], tuple(witnesses), "exhaustive", None,
+                        state["classes_visited"])
+
+
+def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(objective, sorted elements) of every set the anneal scores: start, then each proposal.
+
+    The pair counts of _pair_counts follow the current set: a move (drop d,
+    add x) updates O(n) of them, and a rejected move takes them back.
+    """
+    p = field.p
+    members, nonzero, shift = _pair_counts(p)
     for x in sorted(start):
         members.append(x)
         shift(x, 1)
@@ -446,16 +444,16 @@ def ratio_threshold_scan(p: int) -> RatioScanTable:
 
     Exhaustive over dilation classes (ratio sets are dilation invariant);
     each size's witness is the lex-first canonical proper set.  Properness
-    is subset-monotone, so the scan stops at the first size with no proper
-    witness.
+    is subset-monotone, so the class walk cuts each prefix whose ratio set
+    is F_p, and the scan stops at the first size with no proper witness.
     """
     field = make_field(p)
     entries: list[RatioScanEntry] = [RatioScanEntry(1, None, None)]
     max_n = 0
     for n in range(2, p + 1):
         _class_count_guard(p, n)
-        reps = map(field.fset_from_mask, _class_masks(p, n))
-        proper = (canonical_form(A) for A in reps if ratio_set(A).card < p)
+        masks = filter(None, _class_masks(p, n, lambda m: ratio_set(field.fset_from_mask(m)).card == p))
+        proper = (canonical_form(field.fset_from_mask(m)) for m in masks)
         witness = min(proper, key=FSet.elements, default=None)
         entries.append(RatioScanEntry(n, witness is not None, witness))
         if witness is None:

@@ -1,11 +1,9 @@
 """Shared fixtures: the seeded instance suite and the criterion summary."""
 
-import concurrent.futures
 import random
 
 import pytest
 
-from sumprod import search
 from sumprod.chains import _p51, _pair_decomposition
 from sumprod.core import make_field
 
@@ -59,35 +57,6 @@ def numpy_loaded():
     import numpy
 
     return numpy
-
-
-@pytest.fixture
-def one_cpu_pools(monkeypatch):
-    """A 1-CPU host whose process pools are fakes: returns the max_workers asked for.
-
-    The fake maps in this process, so a test of the worker guard never
-    starts processes, even when the guard is missing.  It replaces the class
-    in concurrent.futures, which exhaustive_extremal imports when it starts
-    a pool.
-    """
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    return sizes
 
 
 _CRITERION_LINES: list[str] = []

@@ -165,8 +165,7 @@ class TestExitCodes:
         assert run(["extremal", "--p", "13", "--n", "4", "--checkpoint", str(ck)]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-    def test_checkpoint_with_threads(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sumprod.search.POOL_MIN_CLASSES", 0)  # 62 classes on a real pool
+    def test_checkpoint_with_threads(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
         assert run(["extremal", "--p", "13", "--n", "4", "--threads", "1"]) == 0
         serial = capsys.readouterr().out
@@ -206,11 +205,11 @@ class TestFormats:
         assert payload["ratio_k"] == {"num": 7, "den": 2}
 
 
-def test_thread_guard_is_three(one_cpu_pools, capsys):
+def test_thread_guard_is_three(capsys, monkeypatch):
+    monkeypatch.setattr("sumprod.search.os.cpu_count", lambda: 1)
     assert run(["extremal", "--p", "11", "--n", "3", "--threads", "100000"]) == 3
     assert capsys.readouterr().err.startswith("guard exceeded: 100000 workers")
     assert run(["extremal", "--p", "11", "--n", "3"]) == 0  # default: the CPU count
-    assert one_cpu_pools == []
 
 
 def test_byte_identical_repeat(capsys):
@@ -326,8 +325,8 @@ FRESH_RUNS = {
     "chain_t13.json": (*CORE, "sumprod.energy", "sumprod.lemmas", "sumprod.chains"),
     "extremal.json": (*CORE, "sumprod.search"),
     "scan_ratio.json": (*CORE, "sumprod.search"),
-    # two workers asked for: 4 classes are below search.POOL_MIN_CLASSES, so
-    # the golden extremal bytes come from this process, with no pool
+    # two workers asked for: the scan runs in this process whatever the
+    # count, and prints the golden extremal bytes
     "extremal.json --threads 2": (*CORE, "sumprod.search"),
 }
 
@@ -348,7 +347,7 @@ def test_fresh_process_loads_only_what_it_runs(case):
     loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
     assert sorted(m for m in loaded if m.split(".")[0] == "sumprod") == sorted(want)
     assert "numpy" not in loaded
-    # the process pool's imports are paid only by a run that starts one
+    # no run starts a process pool
     assert "multiprocessing" not in loaded
 
 
@@ -413,7 +412,7 @@ FUZZ_RUNS = 1000
 def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
     """One sumprod argument vector from a small grammar: mostly well formed,
     with bad primes, set specs, numbers and options mixed in.  --threads is 1
-    or above the worker guard, so no process pool is ever started."""
+    or above the worker guard."""
 
     def pick(good, bad=(), rate=0.05):
         return rng.choice(bad) if bad and rng.random() < rate else rng.choice(good)
@@ -467,8 +466,9 @@ def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
     return argv
 
 
-def test_fuzzed_argv_exit_codes(one_cpu_pools, tmp_path, capsys, monkeypatch):
-    # one_cpu_pools: 1 CPU, so a --threads above 4 exceeds the worker guard
+def test_fuzzed_argv_exit_codes(tmp_path, capsys, monkeypatch):
+    # 1 CPU, so a --threads above 4 exceeds the worker guard
+    monkeypatch.setattr("sumprod.search.os.cpu_count", lambda: 1)
     monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
     rng = random.Random(FUZZ_SEED)
     codes = []
@@ -490,7 +490,6 @@ def test_fuzzed_argv_exit_codes(one_cpu_pools, tmp_path, capsys, monkeypatch):
             reported = out or any(a.startswith("--out=") for a in argv)
             assert err.startswith("exact invariant violated: ") or reported, argv
         codes.append(code)
-    assert one_cpu_pools == []
     assert set(codes) >= {0, 2, 3}
 
 

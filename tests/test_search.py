@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumprod.search
-from sumprod.core import dilate, make_field, product_set, sumset
+from sumprod.core import dilate, make_field, product_set, ratio_set, sumset
 from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
     _PAIR_LIMIT,
@@ -51,6 +51,33 @@ def brute_record(p: int, n: int) -> tuple[int, list[int], int]:
     classes = [A for A in map(field.fset, combinations(range(p), n)) if canonical_form(A) == A]
     best = min(map(naive_objective, classes))
     return best, [A.mask for A in classes if naive_objective(A) == best], len(classes)
+
+
+def unpruned_scan(p: int, n: int, every: int = 10**6, stops=()) -> tuple[tuple, list[str]]:
+    """((best, witness masks, classes), checkpoint texts) of a scan that scores every class.
+
+    Each class of the unpruned _class_masks(p, n) is scored by objective
+    and merged in stream order, as a scan did before the walk was cut.  A
+    checkpoint text is written after each `every` classes from each start
+    and at each stop of the cursors in stops, as a run resumed at each stop.
+    """
+    field = make_field(p)
+    masks = list(_class_masks(p, n))
+    state = {"version": 3, "p": p, "n": n, "mode": "exhaustive", "cursor": 0,
+             "best_value": None, "witnesses": [], "classes_visited": 0}
+    texts = []
+    for lo, hi in zip((0, *stops), (*stops, len(masks))):
+        for cursor in (*range(lo + every, hi, every), hi):
+            for mask in masks[state["cursor"]:cursor]:
+                value = objective(field.fset_from_mask(mask))
+                if state["best_value"] is None or value < state["best_value"]:
+                    state["best_value"], state["witnesses"] = value, [mask]
+                elif value == state["best_value"]:
+                    state["witnesses"].append(mask)
+            state["cursor"] = state["classes_visited"] = cursor
+            texts.append(json.dumps(state, sort_keys=True))
+    witnesses = sorted(canonical_form(field.fset_from_mask(m)).mask for m in state["witnesses"])
+    return (state["best_value"], witnesses, len(masks)), texts
 
 
 def ratio_proper(A) -> bool:
@@ -229,8 +256,8 @@ class TestClassStream:
             "from sumprod.errors import InvariantViolated\n"
             "full = s._class_masks\n"
             f"mangle = {mangle!r}\n"
-            "def stream(p, n):\n"
-            "    masks = list(full(p, n))\n"
+            "def stream(p, n, cut=None):\n"
+            "    masks = list(full(p, n, cut))\n"
             "    return iter(masks[1:] if mangle == 'drop' else masks + masks[-1:])\n"
             "s._class_masks = stream\n"
             "try:\n"
@@ -288,10 +315,8 @@ class TestExhaustive:
             exhaustive_extremal(7, 3, checkpoint_path=str(ck))
 
     def test_checkpoint_in_missing_directory_fails_before_the_scan(self, tmp_path, monkeypatch):
-        import sumprod.search
-
         scanned = []
-        monkeypatch.setattr(sumprod.search, "_scan_chunk", lambda *args: scanned.append(args))
+        monkeypatch.setattr(sumprod.search, "_class_masks", lambda *args: scanned.append(args))
         with pytest.raises(BadParameters, match="directory of checkpoint .* does not exist"):
             exhaustive_extremal(7, 2, checkpoint_path=str(tmp_path / "missing" / "ck.json"))
         assert scanned == []
@@ -302,8 +327,45 @@ class TestExhaustive:
         got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
         assert got == brute_record(p, n)
 
-    def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)  # a real pool of 2
+    # sparse cells whose walk cuts prefixes, and dense ones (2n - 1 >= p) where none is cut
+    @pytest.mark.parametrize("p,n", [(17, 5), (19, 5), (37, 5), (29, 6), (23, 18), (13, 12)])
+    def test_cut_walk_matches_unpruned_scan(self, p, n):
+        rec = exhaustive_extremal(p, n)
+        got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
+        assert got == unpruned_scan(p, n)[0]
+
+    def test_checkpoints_match_unpruned_scan(self, tmp_path, monkeypatch):
+        # every checkpoint text of a run stopped and resumed three times, one
+        # stop falling among the classes under a cut prefix: those the walk
+        # yields as None without asking the cut of their own set
+        p, n = 19, 5
+        full, asked, walked = _class_masks, set(), []
+
+        def spy(p, n, cut=None):
+            for mask in full(p, n, lambda m: asked.add(m) or cut(m)):
+                walked.append(mask)
+                yield mask
+
+        monkeypatch.setattr(sumprod.search, "_class_masks", spy)
+        exhaustive_extremal(p, n)
+        masks = list(full(p, n))
+        under = [i for i, m in enumerate(masks) if walked[i] is None and m not in asked]
+        assert len(walked) == len(masks) and under
+        stops = (37, under[len(under) // 2], 420)
+        assert stops[0] < stops[1] < stops[2] < len(masks)
+
+        written = []
+        write = sumprod.search._write_checkpoint
+        monkeypatch.setattr(sumprod.search, "_class_masks", full)
+        monkeypatch.setattr(sumprod.search, "_write_checkpoint",
+                            lambda path, state: write(path, state) or written.append(ck.read_text()))
+        ck = tmp_path / "ck.json"
+        for lo, hi in zip((0, *stops), (*stops, None)):
+            exhaustive_extremal(p, n, checkpoint_path=str(ck), checkpoint_every=50,
+                                max_steps=hi and hi - lo)
+        assert written == unpruned_scan(p, n, 50, stops)[1]
+
+    def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path):
         ck = tmp_path / "ck.json"
         full = exhaustive_extremal(13, 4)
         exhaustive_extremal(13, 4, workers=2, checkpoint_path=str(ck), checkpoint_every=7,
@@ -341,6 +403,7 @@ class TestExhaustive:
         {"witnesses": [15, 4103, 6147]},
         {"witnesses": [15, 6147]},
         {"cursor": 1, "classes_visited": 1},  # fewer classes than the two witnesses
+        {"best_value": None, "witnesses": []},  # no best after 30 classes
     ])
     def test_bad_checkpoint(self, tmp_path, edit):
         ck = tmp_path / "ck.json"
@@ -357,32 +420,13 @@ class TestExhaustive:
         with pytest.raises(BadParameters):
             exhaustive_extremal(13, 4, checkpoint_path=str(ck))
 
-    def test_small_scan_starts_no_pool(self, one_cpu_pools):
-        # 17 classes repay no process start, whatever the worker count
-        assert exhaustive_extremal(11, 3, workers=4) == exhaustive_extremal(11, 3)
-        assert one_cpu_pools == []
-
-    def test_worker_guard_on_one_cpu(self, one_cpu_pools, monkeypatch):
-        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)
-        serial = exhaustive_extremal(11, 3)
-        for workers in (2, 3, 4):
-            assert exhaustive_extremal(11, 3, workers=workers) == serial
-        assert one_cpu_pools == [2, 3, 4]
-
-    def test_worker_guard_refuses_before_any_pool(self, one_cpu_pools, monkeypatch):
+    def test_worker_guard_refuses_before_any_pool(self, monkeypatch):
+        monkeypatch.setattr(sumprod.search.os, "cpu_count", lambda: 1)
         monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")  # this guard is not liftable
         for workers in (5, 10**6):
             with pytest.raises(GuardExceeded, match="workers exceed"):
                 exhaustive_extremal(11, 3, workers=workers)
-        assert one_cpu_pools == []
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(sumprod.search, "POOL_MIN_CLASSES", 0)  # a real pool of 3
-        serial = exhaustive_extremal(11, 4)
-        parallel = exhaustive_extremal(11, 4, workers=3)
-        assert parallel.best_value == serial.best_value
-        assert parallel.witnesses == serial.witnesses
-        assert parallel.classes_visited == serial.classes_visited
+        assert exhaustive_extremal(11, 3, workers=4) == exhaustive_extremal(11, 3)
 
 
 @st.composite
@@ -479,11 +523,24 @@ class TestRatioScan:
         assert t.sqrt_p == math.sqrt(11)
         assert t.max_proper_n >= 2
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
     def test_matches_lex_order_scan(self, p):
         t = ratio_threshold_scan(p)
         got = [(e.n, None if e.witness is None else e.witness.mask) for e in t.entries[1:]]
         assert got == lex_ratio_scan(p)
+
+    @pytest.mark.parametrize("p", [29, 31])
+    def test_cut_walk_matches_unpruned_scan(self, p):
+        # each size's witness scored over every class of the unpruned walk
+        field, want = make_field(p), []
+        for n in range(2, p + 1):
+            sets = map(field.fset_from_mask, _class_masks(p, n))
+            proper = [canonical_form(A) for A in sets if ratio_set(A).card < p]
+            want.append((n, min(A.elements() for A in proper) if proper else None))
+            if not proper:
+                break
+        t = ratio_threshold_scan(p)
+        assert [(e.n, e.witness and e.witness.elements()) for e in t.entries[1:]] == want
 
     def test_witness_really_proper(self):
         t = ratio_threshold_scan(13)
