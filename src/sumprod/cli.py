@@ -16,7 +16,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -233,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--n", type=int, required=True)
     px.add_argument("--mode", choices=["exhaustive", "anneal"], default="exhaustive")
     px.add_argument("--iters", type=int, default=10_000)
-    px.add_argument("--threads", type=int, default=None,
-                    help="checked against the guard of 4 per CPU; the scan runs in one process "
-                         "(default: cpu count)")
+    px.add_argument("--threads", type=int, default=1,
+                    help="must be >= 1; the scan runs in one process whatever it is (default: 1)")
     px.add_argument("--checkpoint", default=None)
 
     sub.add_parser("scan-ratio", parents=[common])
@@ -343,9 +341,8 @@ def _run_extremal(args, field) -> dict:
     if args.mode == "anneal":
         rep = search.anneal_extremal(field.p, args.n, seed=args.seed, iters=args.iters)
     else:
-        workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
         rep = search.exhaustive_extremal(
-            field.p, args.n, workers=workers, checkpoint_path=args.checkpoint
+            field.p, args.n, workers=args.threads, checkpoint_path=args.checkpoint
         )
     return _payload("search_record", rep)
 

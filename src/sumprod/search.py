@@ -22,40 +22,17 @@ from .core import FSet, PrimeField, _bits, dilate, make_field, product_set, rati
 from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted, check
 
 CLASS_GUARD = 10**8
-# workers per CPU that exhaustive_extremal accepts.  The scan runs in one
-# process whatever the count, so SPW_GUARD_OVERRIDE does not lift this guard.
-WORKERS_PER_CPU = 4
 CHECKPOINT_EVERY = 10**6
 # 3: the cursor counts the classes of _class_masks; 2 counted candidate sets
 # holding 1, and files without a version all n-subsets
 CHECKPOINT_VERSION = 3
 ANNEAL_T0 = 2.0
 ANNEAL_COOLING = 0.995
-# pairs a <= b of a set up to which objective counts their sums and products in
-# two Python sets.  Fresh random sets on a shared 2-core x86-64 host: n = 8 took
-# 9 against 22 us at p = 1009 and 9 against 42 us at p = 4099; with numpy loaded
-# the pair count loses to sumset + product_set from n = 32 (528 pairs) on
-_PAIR_LIMIT = 256
 
 
 def objective(A: FSet) -> int:
-    """max{|A+A|, |AA|}.
-
-    A set with at most _PAIR_LIMIT = 256 pairs a <= b (n <= 22) is counted
-    from the sums and products of its pairs in two Python sets.  A larger
-    set, or an empty one, takes sumset and product_set, with their
-    pigeonhole answers and numpy decode.
-    """
-    n = A.card
-    if not n or n * (n + 1) // 2 > _PAIR_LIMIT:
-        return max(sumset(A, A).card, product_set(A, A).card)
-    p, xs = A.field.p, A.elements()
-    sums, products = set(), set()
-    for i, a in enumerate(xs):
-        for b in xs[i:]:
-            sums.add((a + b) % p)
-            products.add(a * b % p)
-    return max(len(sums), len(products))
+    """max{|A+A|, |AA|}."""
+    return max(sumset(A, A).card, product_set(A, A).card)
 
 
 def canonical_form(A: FSet) -> FSet:
@@ -242,17 +219,19 @@ def _write_checkpoint(path: str, state: dict) -> None:
 
 
 def _pair_counts(p: int) -> tuple[list[int], list[int], Callable[[int, int], None]]:
-    """(members, nonzero, shift): counts by residue of the pair sums and products a <= b of members.
+    """(members, nonzero, move): counts by residue of the pair sums and products a <= b of members.
 
-    nonzero holds how many sums and products are nonzero, so max(nonzero) is
-    the objective of members.  shift(x, step) adds step to the counts of x + b
-    and x * b for each member b, x among them: append x before shift(x, 1),
-    remove it after shift(x, -1).
+    move(x, 1) adds x to members and move(x, -1) removes it, keeping members
+    sorted; either changes the counts of x + b and x * b for each member b,
+    x among them, so O(|members|) counts.  nonzero holds how many sums and
+    products are nonzero, so max(nonzero) is the objective of members.
     """
     members: list[int] = []
     sums, prods, nonzero = [0] * p, [0] * p, [0, 0]
 
-    def shift(x: int, step: int) -> None:
+    def move(x: int, step: int) -> None:
+        if step > 0:
+            insort(members, x)
         edge = step < 0  # the count a residue leaves as it turns: 0 on adding, 1 on removing
         turned_sums = turned_prods = 0
         for b in members:
@@ -266,8 +245,10 @@ def _pair_counts(p: int) -> tuple[list[int], list[int], Callable[[int, int], Non
             turned_prods += c == edge
         nonzero[0] += step * turned_sums
         nonzero[1] += step * turned_prods
+        if step < 0:
+            members.remove(x)
 
-    return members, nonzero, shift
+    return members, nonzero, move
 
 
 def exhaustive_extremal(
@@ -281,23 +262,24 @@ def exhaustive_extremal(
 ) -> SearchRecord:
     """Exact minimum of max{|A+A|,|AA|} over |A| = n, one set per dilation class.
 
-    One walk of _class_masks, in this process whatever `workers` is.  Adding
-    an element never lowers the objective, so the walk cuts each prefix whose
-    objective, from _pair_counts, is strictly above the best so far (tested
+    One walk of _class_masks, in this process; `workers` is only checked to
+    be >= 1.  Adding an element never lowers the objective, so the walk cuts
+    each prefix whose objective is strictly above the best so far (tested
     while min(p, k(k+1)/2) > best for k elements): every tied witness
     survives, and the classes under a cut prefix are counted, not scored.
-    With a checkpoint_path the state (cursor, best, witnesses, classes) is
-    written atomically after every checkpoint_every classes and the run
-    resumes from an existing file, its best the cut's bound, bit-identical
-    to an uninterrupted run.  max_steps stops after that many classes; it
-    exists to exercise resumption deterministically.
+    The cut's prefixes and every class the walk yields are scored from one
+    _pair_counts, moved by mask difference.  When 2n - 1 >= p nothing is
+    cut and each class is scored by objective, whose pigeonhole exits
+    answer at once.  With a checkpoint_path the state (cursor, best,
+    witnesses, classes) is written atomically after every checkpoint_every
+    classes and the run resumes from an existing file, its best the cut's
+    bound, bit-identical to an uninterrupted run.  max_steps stops after
+    that many classes; it exists to exercise resumption deterministically.
     """
     if n < 1 or n > p:
         raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
     if workers < 1 or checkpoint_every < 1:
         raise BadParameters("workers and checkpoint_every must be >= 1")
-    if workers > (most := WORKERS_PER_CPU * (os.cpu_count() or 1)):
-        raise GuardExceeded(f"{workers} workers exceed the guard of {most} ({WORKERS_PER_CPU} per CPU)")
     field = make_field(p)
     total = _class_count_guard(p, n)
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -306,22 +288,21 @@ def exhaustive_extremal(
         raise BadParameters(f"the directory of checkpoint {checkpoint_path!r} does not exist")
     else:
         state = _fresh_state(p, n)
-    members, nonzero, shift = _pair_counts(p)
-    counted = 0  # the mask of members
+    _, nonzero, move = _pair_counts(p)
+    counted = 0  # the mask of the members
+
+    def score(mask: int) -> int:
+        nonlocal counted
+        for x in _bits(counted & ~mask):
+            move(x, -1)
+        for x in _bits(mask & ~counted):
+            move(x, 1)
+        counted = mask
+        return max(nonzero)
 
     def above_best(mask: int) -> bool:
-        nonlocal counted
         best, k = state["best_value"], mask.bit_count()
-        if best is None or min(p, k * (k + 1) // 2) <= best:
-            return False
-        for x in _bits(counted & ~mask):
-            shift(x, -1)
-            members.remove(x)
-        for x in _bits(mask & ~counted):
-            members.append(x)
-            shift(x, 1)
-        counted = mask
-        return max(nonzero) > best
+        return best is not None and min(p, k * (k + 1) // 2) > best and score(mask) > best
 
     start = state["cursor"]
     stop = total if max_steps is None else min(total, start + max_steps)
@@ -334,7 +315,7 @@ def exhaustive_extremal(
         for visited, mask in enumerate(islice(stream, hi - lo), 1):
             if mask is None:
                 continue
-            value = max(nonzero) if mask == counted else objective(field.fset_from_mask(mask))
+            value = score(mask) if cut else objective(field.fset_from_mask(mask))
             best = state["best_value"]
             if best is None or value < best:
                 state["best_value"], state["witnesses"] = value, [mask]
@@ -359,14 +340,14 @@ def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(objective, sorted elements) of every set the anneal scores: start, then each proposal.
 
-    The pair counts of _pair_counts follow the current set: a move (drop d,
-    add x) updates O(n) of them, and a rejected move takes them back.
+    The members and pair counts of _pair_counts follow the current set: a
+    proposal (drop d, add x) is two moves, and a rejected one two more that
+    take it back.
     """
     p = field.p
-    members, nonzero, shift = _pair_counts(p)
-    for x in sorted(start):
-        members.append(x)
-        shift(x, 1)
+    members, nonzero, move = _pair_counts(p)
+    for x in start:
+        move(x, 1)
     value = max(nonzero)
     yield value, tuple(members)
     n, temp = len(members), ANNEAL_T0
@@ -378,20 +359,16 @@ def _anneal_walk(field: PrimeField, start: Iterable[int], rng: random.Random
             if c > add:
                 break
             add += 1
-        shift(drop, -1)
-        members.remove(drop)
-        insort(members, add)
-        shift(add, 1)
+        move(drop, -1)
+        move(add, 1)
         val = max(nonzero)
         yield val, tuple(members)
         delta = val - value
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
             value = val
         else:
-            shift(add, -1)
-            members.remove(add)
-            insort(members, drop)
-            shift(drop, 1)
+            move(add, -1)
+            move(drop, 1)
         temp *= ANNEAL_COOLING
 
 

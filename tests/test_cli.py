@@ -13,7 +13,7 @@ import pytest
 
 import sumprod
 from sumprod.cli import parse_set, run
-from sumprod.core import make_field
+from sumprod.core import MAX_FIELD_P, make_field
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -205,11 +205,15 @@ class TestFormats:
         assert payload["ratio_k"] == {"num": 7, "den": 2}
 
 
-def test_thread_guard_is_three(capsys, monkeypatch):
-    monkeypatch.setattr("sumprod.search.os.cpu_count", lambda: 1)
-    assert run(["extremal", "--p", "11", "--n", "3", "--threads", "100000"]) == 3
-    assert capsys.readouterr().err.startswith("guard exceeded: 100000 workers")
-    assert run(["extremal", "--p", "11", "--n", "3"]) == 0  # default: the CPU count
+def test_threads_print_the_same_bytes(capsys):
+    argv = ["extremal", "--p", "11", "--n", "3"]
+    assert run(argv + ["--threads", "1"]) == 0
+    want = capsys.readouterr().out
+    for threads in ([], ["--threads", "100000"]):  # the default is 1
+        assert run(argv + threads) == 0
+        assert capsys.readouterr().out == want
+    assert run(argv + ["--threads", "0"]) == 2
+    assert "error: workers" in capsys.readouterr().err
 
 
 def test_byte_identical_repeat(capsys):
@@ -411,14 +415,14 @@ FUZZ_RUNS = 1000
 
 def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
     """One sumprod argument vector from a small grammar: mostly well formed,
-    with bad primes, set specs, numbers and options mixed in.  --threads is 1
-    or above the worker guard."""
+    with bad primes (one above the field-size guard), set specs, numbers and
+    options mixed in."""
 
     def pick(good, bad=(), rate=0.05):
         return rng.choice(bad) if bad and rng.random() < rate else rng.choice(good)
 
-    p = pick(["3", "5", "7", "11", "13", "13"], ["1", "4", "-7", "x"])
-    q = int(p) if p.lstrip("-").isdigit() and int(p) > 1 else 7
+    p = pick(["3", "5", "7", "11", "13", "13"], ["1", "4", "-7", "x", str(MAX_FIELD_P + 2)])
+    q = int(p) if p.lstrip("-").isdigit() and 1 < int(p) <= 13 else 7
 
     def spec():
         roll = rng.random()
@@ -458,7 +462,7 @@ def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
     elif command == "extremal":
         options.update({"--n": str(rng.randint(-1, q + 1)), "--mode": pick(["exhaustive", "anneal"]),
                         "--iters": str(rng.randint(-1, 60)),
-                        "--threads": pick(["1"], [str(rng.randint(5, 10**6))], 0.2),
+                        "--threads": pick(["1", str(rng.randint(2, 10**6))], ["0", "-3"], 0.2),
                         "--checkpoint": pick([None], [str(tmp_path / f"ck{rng.randrange(3)}.json")], 0.3)})
     for name, value in options.items():
         if value is not None and rng.random() > 0.02:  # now and then a required option is missing
@@ -467,8 +471,7 @@ def _fuzz_argv(rng: random.Random, tmp_path: pathlib.Path) -> list[str]:
 
 
 def test_fuzzed_argv_exit_codes(tmp_path, capsys, monkeypatch):
-    # 1 CPU, so a --threads above 4 exceeds the worker guard
-    monkeypatch.setattr("sumprod.search.os.cpu_count", lambda: 1)
+    # unset, so a --p above MAX_FIELD_P exceeds the field-size guard
     monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
     rng = random.Random(FUZZ_SEED)
     codes = []

@@ -14,11 +14,11 @@ import sumprod.search
 from sumprod.core import dilate, make_field, product_set, ratio_set, sumset
 from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
-    _PAIR_LIMIT,
     _anneal_walk,
     _class_count,
     _class_count_guard,
     _class_masks,
+    _pair_counts,
     _stream_key,
     anneal_extremal,
     canonical_form,
@@ -131,22 +131,8 @@ OBJECTIVE_PRIMES = (5, 13, 101, 1009, 65521)
 def _set_with_or_without_zero(draw):
     p = draw(st.sampled_from(OBJECTIVE_PRIMES))
     zero = draw(st.booleans())
-    # up to 30 elements: the gate's 256-pair cap falls at n = 23
     units = draw(st.sets(st.integers(1, p - 1), min_size=1 - zero, max_size=min(p - 1, 30)))
     return make_field(p).fset(units | {0} if zero else units)
-
-
-@pytest.fixture
-def scored_by_sumset(monkeypatch):
-    """The sets objective passes to sumset, so a test sees which side of the gate it took."""
-    seen, kernel = [], sumprod.search.sumset
-
-    def spy(A, B, *args, **kwargs):
-        seen.append(A)
-        return kernel(A, B, *args, **kwargs)
-
-    monkeypatch.setattr(sumprod.search, "sumset", spy)
-    return seen
 
 
 class TestObjective:
@@ -160,22 +146,30 @@ class TestObjective:
         for a in (0, 1, p - 1):
             assert objective(make_field(p).fset([a])) == 1
 
-    @pytest.mark.parametrize("p", [101, 1009, 65521])
-    def test_both_sides_of_gate(self, scored_by_sumset, p):
-        # n = 22 has 253 pairs, n = 23 has 276
-        assert 22 * 23 // 2 <= _PAIR_LIMIT < 23 * 24 // 2
-        field, rng = make_field(p), random.Random(p)
-        for n in (22, 23):
-            for _ in range(20):
-                A = field.fset(rng.sample(range(p), n))
-                scored_by_sumset.clear()
-                assert objective(A) == naive_objective(A)
-                assert scored_by_sumset == ([] if n == 22 else [A])
-
     @pytest.mark.parametrize("p", [5, 1009])
     def test_empty(self, p):
         with pytest.raises(EmptyOperand):
             objective(make_field(p).fset([]))
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize("p", [5, 13, 101, 65521])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_moves_keep_members_and_counts(self, p, zero):
+        field, rng = make_field(p), random.Random(p + zero)
+        members, nonzero, move = _pair_counts(p)
+        universe = range(0 if zero else 1, p)
+        if zero:
+            move(0, 1)
+        for _ in range(200):
+            if members and (len(members) in (len(universe), 12) or rng.random() < 0.4):
+                move(rng.choice(members), -1)
+            else:
+                while (x := rng.choice(universe)) in members:
+                    pass
+                move(x, 1)
+            assert members == sorted(set(members))
+            assert max(nonzero) == (naive_objective(field.fset(members)) if members else 0)
 
 
 class TestCanonicalForm:
@@ -327,10 +321,14 @@ class TestExhaustive:
         got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
         assert got == brute_record(p, n)
 
-    # sparse cells whose walk cuts prefixes, and dense ones (2n - 1 >= p) where none is cut
+    # sparse cells whose walk cuts prefixes and scores each class from the pair
+    # counts, and dense ones (2n - 1 >= p) where none is cut and objective scores all
     @pytest.mark.parametrize("p,n", [(17, 5), (19, 5), (37, 5), (29, 6), (23, 18), (13, 12)])
-    def test_cut_walk_matches_unpruned_scan(self, p, n):
+    def test_cut_walk_matches_unpruned_scan(self, monkeypatch, p, n):
+        scored = []
+        monkeypatch.setattr(sumprod.search, "objective", lambda A: scored.append(A.mask) or objective(A))
         rec = exhaustive_extremal(p, n)
+        assert scored == (list(_class_masks(p, n)) if 2 * n - 1 >= p else [])
         got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
         assert got == unpruned_scan(p, n)[0]
 
@@ -420,21 +418,18 @@ class TestExhaustive:
         with pytest.raises(BadParameters):
             exhaustive_extremal(13, 4, checkpoint_path=str(ck))
 
-    def test_worker_guard_refuses_before_any_pool(self, monkeypatch):
-        monkeypatch.setattr(sumprod.search.os, "cpu_count", lambda: 1)
-        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")  # this guard is not liftable
-        for workers in (5, 10**6):
-            with pytest.raises(GuardExceeded, match="workers exceed"):
+    def test_workers_are_only_checked(self):
+        for workers in (0, -1):
+            with pytest.raises(BadParameters, match="workers"):
                 exhaustive_extremal(11, 3, workers=workers)
-        assert exhaustive_extremal(11, 3, workers=4) == exhaustive_extremal(11, 3)
+        assert exhaustive_extremal(11, 3, workers=10**6) == exhaustive_extremal(11, 3)
 
 
 @st.composite
 def _anneal_start(draw):
     p = draw(st.sampled_from((5, 13, 101, 1009)))
     zero = draw(st.booleans())
-    # up to 30 elements: objective's 256-pair gate falls at n = 23; at most
-    # p - 1, so that a move has a non-member to add
+    # at most p - 1 elements, so that a move has a non-member to add
     units = draw(st.sets(st.integers(1, p - 1), min_size=1 - zero, max_size=min(p - 2, 30)))
     return make_field(p), units | {0} if zero else units, draw(st.integers(0, 2**32))
 
@@ -490,7 +485,7 @@ class TestAnneal:
         (101, 6, 4, 200): (15, 288291948802867203),
         (101, 6, 5, 200): (16, 4438),
         (1009, 8, 5, 60): (29, 2203603505424),
-        # above objective's 256-pair gate, frozen before the pair count
+        # frozen before the pair count
         (1009, 24, 3, 60): (
             204,
             2348614256792833644444266458963246886917913799716827743202893727362629586093632730400315536192542729832529920,
