@@ -71,18 +71,33 @@ class ChainStep:
         return Fraction(self.lhs_num * self.rhs_den, self.lhs_den * self.rhs_num)
 
 
-# Both constructors intern the step name: a sweep keeps every report, and a
-# name built by an f-string would otherwise be a fresh copy in each one.
+# The |A| <= 5 sweep over p in {5, 7, 11, 13} has 3,136 distinct steps.
+_STEP_CACHE_SIZE = 1 << 14
+
+
+# Both constructors return one shared step per distinct field tuple: a sweep
+# keeps every report, and most of its steps repeat from report to report.  A
+# step is frozen and slotted, so sharing it changes no field, equality, hash,
+# repr or pickle.  typed=True keeps 1, True and 1.0 apart, as a fresh step
+# would; a miss interns the name, which an f-string builds afresh each time.
+@lru_cache(maxsize=_STEP_CACHE_SIZE, typed=True)
+def _shared_step(name: str, lhs_num: int, lhs_den: int, rhs_num: int, rhs_den: int, kind: str) -> ChainStep:
+    passed = lhs_num * rhs_den <= rhs_num * lhs_den if kind == EXACT else None
+    return ChainStep(sys.intern(name), lhs_num, lhs_den, rhs_num, rhs_den, kind, passed)
+
+
 def exact_step(name: str, lhs: int, rhs: int, lhs_den: int = 1, rhs_den: int = 1) -> ChainStep:
-    ok = lhs * rhs_den <= rhs * lhs_den
-    return ChainStep(sys.intern(name), lhs, lhs_den, rhs, rhs_den, EXACT, ok)
+    return _shared_step(name, lhs, lhs_den, rhs, rhs_den, EXACT)
 
 
 def diag_step(name: str, lhs: int, rhs: int, lhs_den: int = 1, rhs_den: int = 1) -> ChainStep:
-    return ChainStep(sys.intern(name), lhs, lhs_den, rhs, rhs_den, DIAGNOSTIC, None)
+    return _shared_step(name, lhs, lhs_den, rhs, rhs_den, DIAGNOSTIC)
 
 
-@dataclass(frozen=True)
+# Slotted like ChainStep, and with its quirk: assigning a name that is no
+# field raises TypeError (from super()) on Python 3.10 and 3.11, not
+# FrozenInstanceError.
+@dataclass(frozen=True, slots=True)
 class ChainReport:
     theorem: str
     sign: str | None

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import FSet, PrimeField, _bits, dilate, make_field, product_set, ratio_set, sumset
-from .errors import BadParameters, EmptyOperand, GuardExceeded, _guards_lifted, check
+from .errors import BadParameters, EmptyOperand, GuardExceeded, _check_guard, _guards_lifted, check
 
 CLASS_GUARD = 10**8
+# iters * n, the anneal's work in pair-count updates: 1-2 us each, so the
+# largest accepted walk takes about 15-35 s of CPU
+ANNEAL_GUARD = 1 << 24
 CHECKPOINT_EVERY = 10**6
 # 3: the cursor counts the classes of _class_masks; 2 counted candidate sets
 # holding 1, and files without a version all n-subsets
@@ -381,11 +384,13 @@ def anneal_extremal(p: int, n: int, seed: int = 0, iters: int = 10_000) -> Searc
     each move.  iters counts the sets scored, the start set among them, so
     iters=1 reports the initial set unchanged.  The record holds the first
     set of least objective; it was accepted, since it beat the current set.
+    iters * n above ANNEAL_GUARD raises GuardExceeded.
     """
     if n < 1 or n > p - 1:
         raise BadParameters(f"need 1 <= n <= p-1, got n={n}, p={p}")
     if iters < 1:
         raise BadParameters("iters must be >= 1")
+    _check_guard(iters * n <= ANNEAL_GUARD, f"iters*n={iters * n} exceeds the anneal guard {ANNEAL_GUARD}")
     field = make_field(p)
     walk = _anneal_walk(field, range(1, n + 1), random.Random(seed))
     best_val, best_set = min(islice(walk, iters), key=lambda scored: scored[0])

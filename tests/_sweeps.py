@@ -31,14 +31,15 @@ def _final_key(report, sign=None):
     return ":".join(parts)
 
 
-def chain_sweep():
+def chain_sweep(before_prime=lambda: None):
     """Exhaustive |A| <= 5 sweep of every chain verifier the CLI exposes.
 
     Returns (violations, floors, digest) where violations lists every
     failed exact step, floors maps report keys to the minimum observed
     final ratio (exact Fraction; squared finals are tracked under separate
     keys) and digest is the SHA-256 hex digest of repr() of every report,
-    in sweep order, so any change to any report byte shows.
+    in sweep order, so any change to any report byte shows.  before_prime()
+    runs as the sweep reaches each prime.
     """
     violations = []
     floors: dict[str, Fraction] = {}
@@ -55,6 +56,7 @@ def chain_sweep():
             floors[key] = ratio
 
     for p in CHAIN_PRIMES:
+        before_prime()
         field = make_field(p)
         for n in range(1, CHAIN_MAX_CARD + 1):
             for combo in combinations(range(p), n):

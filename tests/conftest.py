@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sumprod.chains import _p51, _pair_decomposition
+from sumprod.chains import _p51, _pair_decomposition, _shared_step
 from sumprod.core import make_field
 
 # Primes used by the seeded random suite (5 .. 257).
@@ -39,10 +39,11 @@ def suite_instances(count=1000, seed=SUITE_SEED):
 
 
 @pytest.fixture(autouse=True)
-def _cold_pair_memos():
-    """Every test starts with empty P51 and (A*, B*) memos, so none passes by test order."""
+def _cold_chain_memos():
+    """Every test starts with empty P51, (A*, B*) and step memos, so none passes by test order."""
     _p51.cache_clear()
     _pair_decomposition.cache_clear()
+    _shared_step.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -488,3 +488,54 @@ class TestChainStep:
         assert back == s and back is not s and back.passed is None
         report = chain_small(F7.fset([1, 2, 3]))
         assert pickle.loads(pickle.dumps(report)) == report
+        assert not hasattr(report, "__dict__")
+
+
+def _nine_chains(A):
+    return (
+        chain_small(A, PLUS), chain_small(A, MINUS), chain_large(A, PLUS), chain_large(A, MINUS),
+        prop51_audit(A, A), chain_unbalanced(A, A, "T13"), chain_unbalanced(A, A, "T14"),
+        chain_balanced(A, A), energy_bound_audit(A),
+    )
+
+
+class TestSharedSteps:
+    """exact_step and diag_step return one shared ChainStep per distinct field tuple."""
+
+    @staticmethod
+    def _p7_steps():
+        return [s for n in (1, 2, 3) for combo in itertools.combinations(range(7), n)
+                for report in _nine_chains(F7.fset(combo)) for s in report.steps]
+
+    def test_equal_steps_are_one_object(self):
+        steps = self._p7_steps()
+        first = {}
+        for s in steps:
+            assert first.setdefault(s, s) is s
+        assert len(first) < len(steps)
+
+    def test_shared_steps_equal_fresh_ones(self):
+        for s in set(self._p7_steps()):
+            fields = [getattr(s, name) for name in STEP_FIELDS]
+            fresh = ChainStep(*fields)
+            assert fresh == s and fresh is not s and repr(fresh) == repr(s)
+            assert [type(v) for v in fields[1:5]] == [int] * 4
+            assert s.passed == (s.ratio <= 1 if s.kind == EXACT else None)
+            assert s.name is sys.intern(s.name)
+
+    def test_keys_keep_argument_types(self):
+        # lru_cache takes 1, True and 1.0 as one key unless typed
+        one = chains.exact_step("typed", 1, 2)
+        assert chains.exact_step("typed", True, 2).lhs_num is True
+        assert type(chains.exact_step("typed", 1.0, 2).lhs_num) is float
+        assert chains.exact_step("typed", 1, 2) is one and type(one.lhs_num) is int
+        assert chains.diag_step("typed", 1, 2) != one
+
+    def test_bounded(self):
+        assert chains._shared_step.cache_info().maxsize == chains._STEP_CACHE_SIZE
+        first = chains.exact_step("bounded", 0, 1)
+        for k in range(1, chains._STEP_CACHE_SIZE + 1):
+            chains.diag_step("bounded", k, 1)
+        assert chains._shared_step.cache_info().currsize == chains._STEP_CACHE_SIZE
+        again = chains.exact_step("bounded", 0, 1)  # evicted, so built afresh
+        assert again == first and again is not first

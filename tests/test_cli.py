@@ -132,6 +132,21 @@ class TestExitCodes:
         assert capsys.readouterr().out == (DATA / "golden" / "lemma_gk.json").read_text()
         assert sorted(scored) == [0, 1, 6]
 
+    def test_anneal_guard_is_three(self, capsys, monkeypatch):
+        from sumprod import search
+
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        args = ["extremal", "--p", "13", "--n", "4", "--mode", "anneal", "--iters", "1000000000"]
+        assert run(args) == 3
+        assert capsys.readouterr().err == "guard exceeded: iters*n=4000000000 exceeds the anneal guard 16777216\n"
+        monkeypatch.setattr(search, "ANNEAL_GUARD", 4 * 100)
+        args[-1] = "100"
+        assert run(args) == 0
+        assert json.loads(capsys.readouterr().out)["classes_visited"] == 100
+        args[-1] = "101"
+        assert run(args) == 3
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", [
         ["lemma", "katzshen", "--p", "7", "--b0", "1,2,3", "--bs", "1,2", "--eps", "1/0"],
         ["set", "--p", "7", "--a", "1,2", "--b", "3", "--op", "sum", "--out", "{missing}/x.json"],

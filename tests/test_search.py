@@ -475,6 +475,19 @@ class TestAnneal:
         with pytest.raises(BadParameters):
             anneal_extremal(7, 2, iters=0)
 
+    def test_guard(self, monkeypatch):
+        # iters * n against ANNEAL_GUARD, before any move; unguarded, this
+        # walk runs for hours
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        with pytest.raises(GuardExceeded, match=r"iters\*n=4000000000 exceeds the anneal guard"):
+            anneal_extremal(13, 4, iters=10**9)
+        monkeypatch.setattr(sumprod.search, "ANNEAL_GUARD", 4 * 50)
+        assert anneal_extremal(13, 4, seed=2, iters=50).classes_visited == 50
+        with pytest.raises(GuardExceeded, match=r"iters\*n=204 exceeds the anneal guard 200"):
+            anneal_extremal(13, 4, seed=2, iters=51)
+        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")
+        assert anneal_extremal(13, 4, seed=2, iters=51).classes_visited == 51
+
     # (p, n, seed, iters) -> (best_value, witness mask), frozen from the
     # implementation that drew the added element with rng.choice over the
     # sorted non-members and canonicalized every improvement
