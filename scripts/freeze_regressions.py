@@ -15,7 +15,7 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from _sweeps import chain_sweep, chang_min_ratio  # noqa: E402
 from conftest import suite_instances  # noqa: E402

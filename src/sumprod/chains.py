@@ -204,13 +204,12 @@ def _inputs(A: FSet, B: FSet | None = None) -> dict:
 
 
 def _case(d: BucketDecomposition, bucket: str, steps: list[ChainStep]) -> str:
-    """The j0 pigeonhole step, then T12/T14's split: club iff |X_j0|^2 > p and R(X_j0) = F_p."""
+    """The j0 pigeonhole step, then T12/T14's split: club iff |X_j0|^2 > p, so R(X_j0) = F_p by pigeonhole."""
     j0, cert = select_j0(d)
     name = f"j0 pigeonhole: s_sum <= 2*J*2^j0*|{bucket}_j0|"
     steps.append(exact_step(name, d.s_sum, 2 * len(d.buckets) * cert))
     X = d.buckets[j0]
-    p = X.field.p
-    return "club" if X.card**2 > p and ratio_set(X).card == p else "spade"
+    return "club" if X.card**2 > X.field.p else "spade"
 
 
 @lru_cache(maxsize=4)

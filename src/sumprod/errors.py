@@ -61,11 +61,7 @@ def check(condition: bool, message: str) -> None:
         raise InvariantViolated(message)
 
 
-def _guards_lifted() -> bool:
-    return os.environ.get("SPW_GUARD_OVERRIDE") == "1"
-
-
 def _check_guard(condition: bool, message: str) -> None:
     """Raise GuardExceeded(message) unless condition holds or SPW_GUARD_OVERRIDE=1."""
-    if not condition and not _guards_lifted():
+    if not condition and os.environ.get("SPW_GUARD_OVERRIDE") != "1":
         raise GuardExceeded(message)

@@ -16,10 +16,10 @@ import tempfile
 from bisect import insort
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .core import FSet, PrimeField, _bits, dilate, make_field, product_set, ratio_set, sumset
-from .errors import BadParameters, EmptyOperand, GuardExceeded, _check_guard, _guards_lifted, check
+from .errors import BadParameters, EmptyOperand, _check_guard, check
 
 CLASS_GUARD = 10**8
 # iters * n, the anneal's work in pair-count updates: 1-2 us each, so the
@@ -84,14 +84,6 @@ def _class_count(p: int, n: int) -> int:
         phi[d] = d - sum(f for e, f in phi.items() if d % e == 0)
         total += phi[d] * sum(math.comb(q // d, k // d) for k in (n, n - 1) if k % d == 0)
     return total // q
-
-
-def _class_count_guard(p: int, n: int) -> int:
-    """The class count of (p, n), unless it exceeds CLASS_GUARD."""
-    classes = _class_count(p, n)
-    if classes > CLASS_GUARD and not _guards_lifted():
-        raise GuardExceeded(f"{classes} dilation classes exceed the {CLASS_GUARD} guard")
-    return classes
 
 
 def _class_masks(p: int, n: int, cut: Callable[[int], bool] | None = None) -> Iterator[int | None]:
@@ -272,19 +264,20 @@ def exhaustive_extremal(
     survives, and the classes under a cut prefix are counted, not scored.
     The cut's prefixes and every class the walk yields are scored from one
     _pair_counts, moved by mask difference.  When 2n - 1 >= p nothing is
-    cut and each class is scored by objective, whose pigeonhole exits
-    answer at once.  With a checkpoint_path the state (cursor, best,
-    witnesses, classes) is written atomically after every checkpoint_every
-    classes and the run resumes from an existing file, its best the cut's
-    bound, bit-identical to an uninterrupted run.  max_steps stops after
-    that many classes; it exists to exercise resumption deterministically.
+    cut and each class scores p, by Cauchy-Davenport.  More than
+    CLASS_GUARD classes raise GuardExceeded before the walk.  With a
+    checkpoint_path the state is written atomically after every
+    checkpoint_every classes and the run resumes from an existing file,
+    its best the cut's bound, bit-identical to an uninterrupted run.
+    max_steps stops after that many classes, to exercise resumption.
     """
     if n < 1 or n > p:
         raise BadParameters(f"need 1 <= n <= p, got n={n}, p={p}")
     if workers < 1 or checkpoint_every < 1:
         raise BadParameters("workers and checkpoint_every must be >= 1")
     field = make_field(p)
-    total = _class_count_guard(p, n)
+    total = _class_count(p, n)
+    _check_guard(total <= CLASS_GUARD, f"{total} dilation classes exceed the {CLASS_GUARD} guard")
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path, p, n, total)
     elif checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
@@ -310,7 +303,7 @@ def exhaustive_extremal(
     start = state["cursor"]
     stop = total if max_steps is None else min(total, start + max_steps)
     # by Cauchy-Davenport every set has |A+A| >= min(p, 2n - 1), so from
-    # 2n - 1 >= p on every objective is p and no prefix can be cut
+    # 2n - 1 >= p on every objective is p: nothing is cut and nothing scored
     cut = above_best if 2 * n - 1 < p else None
     stream = islice(_class_masks(p, n, cut), start, None)
     for lo in range(start, stop, checkpoint_every):
@@ -318,7 +311,7 @@ def exhaustive_extremal(
         for visited, mask in enumerate(islice(stream, hi - lo), 1):
             if mask is None:
                 continue
-            value = score(mask) if cut else objective(field.fset_from_mask(mask))
+            value = score(mask) if cut else p
             best = state["best_value"]
             if best is None or value < best:
                 state["best_value"], state["witnesses"] = value, [mask]
@@ -428,12 +421,19 @@ def ratio_threshold_scan(p: int) -> RatioScanTable:
     each size's witness is the lex-first canonical proper set.  Properness
     is subset-monotone, so the class walk cuts each prefix whose ratio set
     is F_p, and the scan stops at the first size with no proper witness.
+    No n-set with n^2 > p is proper (for x != 0 two of the n^2 sums a + xb
+    collide, so x = (a - a')/(b' - b)), so isqrt(p) + 1 is recorded unwalked,
+    and CLASS_GUARD bounds the classes of sizes 2..isqrt(p) before any walk.
     """
     field = make_field(p)
+    sizes = range(2, math.isqrt(p) + 1)
+    # the running class total at the first size that takes it past the guard,
+    # 0 if none does; the full sum would take a minute at p near 2^20
+    total = next((t for t in accumulate(_class_count(p, n) for n in sizes) if t > CLASS_GUARD), 0)
+    _check_guard(not total, f"{total} dilation classes exceed the {CLASS_GUARD} guard")
     entries: list[RatioScanEntry] = [RatioScanEntry(1, None, None)]
     max_n = 0
-    for n in range(2, p + 1):
-        _class_count_guard(p, n)
+    for n in sizes:
         masks = filter(None, _class_masks(p, n, lambda m: ratio_set(field.fset_from_mask(m)).card == p))
         proper = (canonical_form(field.fset_from_mask(m)) for m in masks)
         witness = min(proper, key=FSet.elements, default=None)
@@ -441,4 +441,6 @@ def ratio_threshold_scan(p: int) -> RatioScanTable:
         if witness is None:
             break
         max_n = n
+    else:
+        entries.append(RatioScanEntry(sizes.stop, False, None))
     return RatioScanTable(p, tuple(entries), max_n, math.sqrt(p))

@@ -94,6 +94,24 @@ class TestChainLarge:
                 assert zj0.card >= 2 and ratio_set(zj0).card == A.field.p
                 assert zj0.card**2 > A.field.p
 
+    def test_case_builds_no_ratio_set(self, monkeypatch):
+        # club iff |Z_j0|^2 > p: then R(Z_j0) = F_p by pigeonhole, so no
+        # ratio set is built for the split
+        from sumprod.lemmas import select_j0
+
+        cases = []
+        for A in (F5.fset([1, 2]), F11.fset(range(1, 11)), F13.fset([1, 2, 3, 5, 8, 9, 11])):
+            _, _, d = chains._front_end(A, PLUS, [])
+            X = d.buckets[select_j0(d)[0]]
+            cases.append((d, X, "club" if X.card**2 > A.field.p else "spade"))
+        assert {case for _, _, case in cases} == {"club", "spade"}
+        built = []
+        monkeypatch.setattr(chains, "ratio_set", lambda X: built.append(X) or ratio_set(X))
+        for d, X, case in cases:
+            assert chains._case(d, "Z", []) == case
+            assert case == "spade" or ratio_set(X) is X.field.full_set()
+        assert built == []
+
     def test_hypothesis_warning(self):
         assert chain_large(F13.fset([1, 2])).warnings
         assert not chain_large(F5.fset([1, 2, 3])).warnings

@@ -147,6 +147,18 @@ class TestExitCodes:
         assert run(args) == 3
         capsys.readouterr()
 
+    def test_scan_ratio_guard_is_three_before_any_walk(self, capsys, monkeypatch):
+        from sumprod import search
+
+        # the sizes 2..8 of F_67 hold 113,671,723 dilation classes
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        walked = []
+        monkeypatch.setattr(search, "_class_masks", lambda *args: walked.append(args))
+        assert run(["scan-ratio", "--p", "67"]) == 3
+        assert capsys.readouterr().err == (
+            "guard exceeded: 113671723 dilation classes exceed the 100000000 guard\n")
+        assert walked == []
+
     @pytest.mark.parametrize("argv", [
         ["lemma", "katzshen", "--p", "7", "--b0", "1,2,3", "--bs", "1,2", "--eps", "1/0"],
         ["set", "--p", "7", "--a", "1,2", "--b", "3", "--op", "sum", "--out", "{missing}/x.json"],

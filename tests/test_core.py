@@ -749,6 +749,32 @@ def test_cauchy_davenport(ab):
     assert sumset(A, B).card >= min(p, A.card + B.card - 1)
 
 
+_PRIMES_TO_4099 = [p for p in range(3, 4100) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def _set_past_the_root(draw):
+    """An n-set with n^2 > p over a prime p <= 4099: an arithmetic progression, whose
+    difference set is small, or any set."""
+    p = draw(st.sampled_from(_PRIMES_TO_4099))
+    n = draw(st.integers(math.isqrt(p) + 1, min(p, math.isqrt(p) + 3)))
+    if draw(st.booleans()):
+        start, step = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+        elements = {(start + k * step) % p for k in range(n)}
+    else:
+        elements = draw(st.sets(st.integers(0, p - 1), min_size=n, max_size=n))
+    return make_field(p).fset(elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_set_past_the_root())
+def test_sets_past_the_root_have_full_ratio_sets(A):
+    # pigeonhole: for each x != 0 two of the |A|^2 sums a + xb collide, so
+    # x = (a - a')/(b' - b); search and chains rely on it
+    assert A.card**2 > A.field.p
+    assert ratio_set(A).card == A.field.p
+
+
 @settings(max_examples=100, deadline=None)
 @given(_field_and_two_sets(), st.integers(1, 22))
 def test_dilation_invariance(ab, u):

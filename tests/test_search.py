@@ -16,7 +16,6 @@ from sumprod.errors import BadParameters, EmptyOperand, GuardExceeded
 from sumprod.search import (
     _anneal_walk,
     _class_count,
-    _class_count_guard,
     _class_masks,
     _pair_counts,
     _stream_key,
@@ -24,6 +23,7 @@ from sumprod.search import (
     canonical_form,
     exhaustive_extremal,
     objective,
+    RatioScanEntry,
     ratio_threshold_scan,
 )
 
@@ -234,11 +234,16 @@ class TestClassStream:
         # n - 1 gaps of 1 to walk, past the interpreter's recursion limit
         assert [sum(1 for _ in _class_masks(1009, n)) for n in (1008, 1009)] == [2, 1]
 
-    def test_class_count_guard(self):
-        # (101, 23) is far above the guard; (53, 7) has 2,964,340 classes
+    def test_class_count_guard(self, monkeypatch):
+        # (101, 23) is far above the guard and refused before the walk; (53, 7)
+        # has 2,964,340 classes
         assert _class_count(53, 7) == 2_964_340
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        walked = []
+        monkeypatch.setattr(sumprod.search, "_class_masks", lambda *args: walked.append(args))
         with pytest.raises(GuardExceeded, match=r"\d+ dilation classes"):
-            _class_count_guard(101, 23)
+            exhaustive_extremal(101, 23)
+        assert walked == []
 
     @pytest.mark.parametrize("mangle", ["drop", "repeat"])
     def test_scan_checks_the_class_count_under_O(self, mangle):
@@ -286,6 +291,8 @@ class TestExhaustive:
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
             exhaustive_extremal(7, 0)
+        with pytest.raises(BadParameters, match="max_steps exhausted before any class"):
+            exhaustive_extremal(13, 4, max_steps=0)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
@@ -322,13 +329,14 @@ class TestExhaustive:
         assert got == brute_record(p, n)
 
     # sparse cells whose walk cuts prefixes and scores each class from the pair
-    # counts, and dense ones (2n - 1 >= p) where none is cut and objective scores all
+    # counts, and dense ones (2n - 1 >= p) where none is cut and every class
+    # scores p by Cauchy-Davenport: objective scores no class of either
     @pytest.mark.parametrize("p,n", [(17, 5), (19, 5), (37, 5), (29, 6), (23, 18), (13, 12)])
     def test_cut_walk_matches_unpruned_scan(self, monkeypatch, p, n):
         scored = []
         monkeypatch.setattr(sumprod.search, "objective", lambda A: scored.append(A.mask) or objective(A))
         rec = exhaustive_extremal(p, n)
-        assert scored == (list(_class_masks(p, n)) if 2 * n - 1 >= p else [])
+        assert scored == []
         got = (rec.best_value, [w.mask for w in rec.witnesses], rec.classes_visited)
         assert got == unpruned_scan(p, n)[0]
 
@@ -362,6 +370,20 @@ class TestExhaustive:
             exhaustive_extremal(p, n, checkpoint_path=str(ck), checkpoint_every=50,
                                 max_steps=hi and hi - lo)
         assert written == unpruned_scan(p, n, 50, stops)[1]
+
+    def test_failed_checkpoint_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        exhaustive_extremal(13, 4, checkpoint_path=str(ck), max_steps=30)
+        old = ck.read_bytes()
+
+        def dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump)
+        with pytest.raises(OSError, match="disk full"):
+            exhaustive_extremal(13, 4, checkpoint_path=str(ck))
+        assert ck.read_bytes() == old
+        assert os.listdir(tmp_path) == ["ck.json"]  # no .tmp file is left
 
     def test_checkpoint_at_two_workers_resumes_at_one(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -549,6 +571,34 @@ class TestRatioScan:
                 break
         t = ratio_threshold_scan(p)
         assert [(e.n, e.witness and e.witness.elements()) for e in t.entries[1:]] == want
+
+    def test_no_proper_size(self):
+        t = ratio_threshold_scan(3)
+        assert [(e.n, e.proper_exists) for e in t.entries] == [(1, None), (2, False)]
+        assert t.max_proper_n == 0 and t.max_witness is None
+
+    @pytest.mark.parametrize("p", [5, 7, 17, 29, 31])
+    def test_walks_no_size_past_the_root(self, monkeypatch, p):
+        # pigeonhole: once n^2 > p every n-set has R(A) = F_p, so the first such
+        # size is recorded without a walk
+        full, walked = _class_masks, []
+        monkeypatch.setattr(sumprod.search, "_class_masks",
+                            lambda p, n, cut=None: walked.append(n) or full(p, n, cut))
+        t = ratio_threshold_scan(p)
+        assert walked == list(range(2, math.isqrt(p) + 1))
+        assert t.entries[-1] == RatioScanEntry(math.isqrt(p) + 1, False, None)
+        assert t.max_proper_n == math.isqrt(p)
+
+    def test_guard_refuses_before_the_first_walk(self, monkeypatch):
+        # the sizes 2, 3 and 4 of F_17 hold 9 + 43 + 151 dilation classes
+        assert sum(_class_count(17, n) for n in (2, 3, 4)) == 203
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE", raising=False)
+        monkeypatch.setattr(sumprod.search, "CLASS_GUARD", 202)
+        walked = []
+        monkeypatch.setattr(sumprod.search, "_class_masks", lambda *args: walked.append(args))
+        with pytest.raises(GuardExceeded, match="^203 dilation classes exceed the 202 guard$"):
+            ratio_threshold_scan(17)
+        assert walked == []
 
     def test_witness_really_proper(self):
         t = ratio_threshold_scan(13)
