@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -51,6 +52,16 @@ GK_MAX_ROTATIONS = 1 << 19
 # max_j 16^j |Y_j|^3  >=  CHANG_CONSTANT * Ex(Y,Z)^4 / (|Y|^4 * max(m, |Z|))
 # where m is the largest bucket size; see chang_floor_holds for the proof.
 CHANG_CONSTANT_DEN = 400_000
+
+# Bounded memos of the three certificate searches, each a pure function of p
+# and its sets' masks, which the chains repeat on the same small sets (one
+# chain sweep pass makes 17,760 `chang_decompose` calls on 2,303 distinct
+# (Y, Z)).  Each sits below its public function, whose checks and guards run
+# on every call.  Results are shared, so no caller may mutate one.  An entry
+# keeps its key sets' p-bit masks alive, so the sizes stay small.
+_CHANG_CACHE_SIZE = 16
+_GK_CACHE_SIZE = 256
+_XI_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -212,6 +223,12 @@ def gk_witness(A1: FSet, variant: str = "plus_plus") -> GkWitness:
     _check_guard(
         rotations <= GK_MAX_ROTATIONS, f"|R(A1)|*|A1|={rotations} exceeds the gk_witness guard {GK_MAX_ROTATIONS}"
     )
+    return _gk_witness(A1, ratios, variant)
+
+
+@lru_cache(maxsize=_GK_CACHE_SIZE)
+def _gk_witness(A1: FSet, ratios: FSet, variant: str) -> GkWitness:
+    """gk_witness's scoring of every t in ratios = R(A1), once its guard has passed."""
     inner = sumset(A1, A1, PLUS if variant == "plus_plus" else MINUS)
     scores = {t: sumset(inner, scale(A1, t)).card for t in ratios}
     best = max(scores.values())
@@ -229,16 +246,21 @@ def xi_search(A1: FSet) -> tuple[int, int]:
     energy * (p-1) <= |A1|^2 (p-1) + |A1|^4.
     """
     _require_operands(A1)
+    best_xi, best_energy = _xi_search(A1)
+    p, n = A1.field.p, A1.card
+    check(best_energy * (p - 1) <= n * n * (p - 1) + n**4, "xi averaging bound broken")
+    return best_xi, best_energy
+
+
+@lru_cache(maxsize=_XI_CACHE_SIZE)
+def _xi_search(A1: FSet) -> tuple[int, int]:
     p, dlog = A1.field.p, A1.field.dlog_table
     r = rep_fn(A1, A1, MINUS).counts
     logs = [dlog[e] for e in range(1, p) if r[e]]
     weights = [w for w in r[1:] if w]
     c = pair_counts(logs, logs, p - 1, weights, weights)
     best_xi = min(range(1, p), key=lambda xi: c[dlog[xi]])
-    best_energy = r[0] ** 2 + c[dlog[best_xi]]
-    n = A1.card
-    check(best_energy * (p - 1) <= n * n * (p - 1) + n**4, "xi averaging bound broken")
-    return best_xi, best_energy
+    return best_xi, r[0] ** 2 + c[dlog[best_xi]]
 
 
 def bucket_index(v: int) -> int:
@@ -281,7 +303,15 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
     entry in the row or column of 0 is 1 at (0, 0) and [0 in Z] elsewhere.
     The pivot maximizes the row sum, so s_sum * |Y| >= Ex(Y,Z) exactly.
     """
-    field = _require_operands(Y, Z)
+    _require_operands(Y, Z)
+    d = _chang_decompose(Y, Z)
+    check(d.s_sum * d.y_card >= d.energy, "pivot pigeonhole broken")
+    return d
+
+
+@lru_cache(maxsize=_CHANG_CACHE_SIZE)
+def _chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
+    field = Y.field
     q, dlog = field.p - 1, field.dlog_table
     lz = [dlog[z] for z in Z if z]
     r = pair_counts(lz, lz, q)
@@ -301,7 +331,6 @@ def chang_decompose(Y: FSet, Z: FSet) -> BucketDecomposition:
         e_val += row  # the rows add up to Ex(Y, Z) exactly
         if row > s_sum:
             pivot, s_sum = y0, row
-    check(s_sum * Y.card >= e_val, "pivot pigeonhole broken")
     bucket_masks = dict.fromkeys(range(1, bucket_index(Z.card) + 1), 0)
     lp = dlog[pivot] if pivot else 0
     for y in els:

@@ -6,6 +6,7 @@ import pytest
 
 from sumprod.chains import _p51, _pair_decomposition, _shared_step
 from sumprod.core import make_field
+from sumprod.lemmas import _chang_decompose, _gk_witness, _xi_search
 
 # Primes used by the seeded random suite (5 .. 257).
 SUITE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -40,10 +41,9 @@ def suite_instances(count=1000, seed=SUITE_SEED):
 
 @pytest.fixture(autouse=True)
 def _cold_chain_memos():
-    """Every test starts with empty P51, (A*, B*) and step memos, so none passes by test order."""
-    _p51.cache_clear()
-    _pair_decomposition.cache_clear()
-    _shared_step.cache_clear()
+    """Every test starts with empty chain and lemma memos, so none passes by test order."""
+    for memo in (_p51, _pair_decomposition, _shared_step, _chang_decompose, _gk_witness, _xi_search):
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import chains, core
+from sumprod import chains, core, lemmas
 from sumprod.chains import (
     DIAGNOSTIC,
     EXACT,
@@ -457,6 +457,21 @@ class TestPairDecompositionMemo:
         info = chains._pair_decomposition.cache_info()
         assert info.currsize <= maxsize < info.misses
         assert info.hits == info.misses  # T15 reuses each P51 run
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_chain_large_reads_the_small_chains_decomposition(sign):
+    """T11 and T12 open on one Z*; T12 reads its decomposition from the chang_decompose memo."""
+    memo = lemmas._chang_decompose
+    for A in (F13.fset([1, 2, 3, 5, 8]), F11.fset([0, 1, 2, 3, 4]), F7.fset([3])):
+        memo.cache_clear()
+        cold = chain_large(A, sign)
+        memo.cache_clear()
+        chain_small(A, sign)
+        before = memo.cache_info()
+        assert chain_large(A, sign) == cold
+        after = memo.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
 
 STEP_FIELDS = ["name", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "kind", "passed"]

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import suite_instances
 from hypothesis import given, settings, strategies as st
 
 from sumprod import lemmas
+from sumprod.cli import run
 from sumprod.core import MINUS, PLUS, make_field, sumset
 from sumprod.energy import multiplicative_energy
 from sumprod.errors import (
@@ -14,6 +16,7 @@ from sumprod.errors import (
     BadParameters,
     EmptyDecomposition,
     EmptyOperand,
+    FieldMismatch,
     GuardExceeded,
     RatioSetFull,
     TooSmall,
@@ -33,6 +36,9 @@ from sumprod.lemmas import (
 F5 = make_field(5)
 F7 = make_field(7)
 F13 = make_field(13)
+
+# the memoized kernels below chang_decompose, gk_witness and xi_search
+MEMOS = ("_chang_decompose", "_gk_witness", "_xi_search")
 
 
 class TestGreedyCover:
@@ -349,3 +355,65 @@ def test_empty_decomposition_unreachable_via_public_api():
     )
     with pytest.raises(EmptyDecomposition):
         select_j0(d)
+
+
+def _lemma_results(Y, Z):
+    """The three memoized lemmas on one (Y, Z): each result, or the type of what it raised."""
+    out = {"chang": chang_decompose(Y, Z), "xi": xi_search(Y)}
+    for variant in ("plus_plus", "plus_minus"):
+        try:
+            out[variant] = gk_witness(Y, variant)
+        except (TooSmall, RatioSetFull) as exc:
+            out[variant] = type(exc)
+    return out
+
+
+class TestLemmaMemos:
+    def test_warm_calls_match_cold_ones(self, monkeypatch):
+        instances = suite_instances()
+        with monkeypatch.context() as m:
+            for name in MEMOS:
+                m.setattr(lemmas, name, getattr(lemmas, name).__wrapped__)
+            cold = [_lemma_results(Y, Z) for Y, Z in instances]
+        order = list(range(len(instances))) * 2
+        random.Random(5).shuffle(order)
+        for i in order:
+            assert _lemma_results(*instances[i]) == cold[i]
+        for name in MEMOS:
+            assert getattr(lemmas, name).cache_info().hits > 0, name
+
+    def test_gk_guard_runs_on_a_warm_memo(self, monkeypatch, capsys):
+        A = F7.fset([1, 2])  # |R| = 3 ratios, 2 rotations each
+        monkeypatch.setattr(lemmas, "GK_MAX_ROTATIONS", 5)
+        monkeypatch.setenv("SPW_GUARD_OVERRIDE", "1")
+        warm = gk_witness(A)
+        assert lemmas._gk_witness.cache_info().currsize == 1
+        monkeypatch.delenv("SPW_GUARD_OVERRIDE")
+        with pytest.raises(GuardExceeded):
+            gk_witness(A)
+        assert run(["lemma", "gk", "--p", "7", "--a", "1,2"]) == 3
+        assert capsys.readouterr().err == "guard exceeded: |R(A1)|*|A1|=6 exceeds the gk_witness guard 5\n"
+        monkeypatch.setattr(lemmas, "GK_MAX_ROTATIONS", 6)
+        assert gk_witness(A) is warm
+        assert lemmas._gk_witness.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "error, call",
+        [
+            (TooSmall, lambda: gk_witness(F7.fset([1]))),
+            (RatioSetFull, lambda: gk_witness(F7.fset([1, 2, 4]))),
+            (FieldMismatch, lambda: chang_decompose(F7.fset([1, 2, 4]), F5.fset([1]))),
+            (EmptyOperand, lambda: chang_decompose(F7.fset([1]), F7.fset([]))),
+            (EmptyOperand, lambda: xi_search(F7.fset([]))),
+        ],
+    )
+    def test_checks_run_on_a_warm_memo(self, error, call):
+        for A in (F7.fset([1]), F7.fset([1, 2, 4])):
+            chang_decompose(A, A)
+            xi_search(A)
+        gk_witness(F7.fset([1, 2]))
+        sizes = [getattr(lemmas, name).cache_info().currsize for name in MEMOS]
+        for _ in range(2):  # nothing raised is kept
+            with pytest.raises(error):
+                call()
+        assert [getattr(lemmas, name).cache_info().currsize for name in MEMOS] == sizes
